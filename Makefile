@@ -1,14 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-race test-race-sharded vet lint lint-json bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build test test-race test-race-sharded vet lint lint-json bench-test bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
 # The default gate: compile, static checks (go vet plus the repo's own
-# dresar-lint analyzers), tests, the race detector (the fault-injection
-# and watchdog paths are concurrency-sensitive by construction), and a
-# short run of the coverage-guided fuzzers.
-check: build vet lint test test-race fuzz-short
+# dresar-lint analyzers), tests, the repository benchmark's own tests,
+# the race detector (the fault-injection and watchdog paths are
+# concurrency-sensitive by construction), and a short run of the
+# coverage-guided fuzzers.
+check: build vet lint test bench-test test-race fuzz-short
 
 build:
 	go build ./...
@@ -35,6 +36,13 @@ lint-json:
 
 test:
 	go test ./...
+
+# The repository benchmark (bench/, run with bench/run.sh) is a module
+# of its own, so the root ./... patterns never reach it: vet and test
+# it from inside (about 8 s, including a toy-size run of every
+# workload).
+bench-test:
+	cd bench && go vet ./... && go test ./...
 
 # The fast race pass skips the serial-vs-sharded differential suite
 # (the single longest race run); test-race-sharded carries it.

@@ -266,3 +266,17 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("non-deterministic simulation:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestWideSwitchMachineCompletes runs TC on the 33-node radix-33
+// machine, whose single switch per rank has 66 output ports. An arbiter
+// that can address only 64 outputs never grants memory-side ports 64
+// and 65, so reads homed at nodes 31 and 32 stay outstanding and the
+// run stalls in its first phase.
+func TestWideSwitchMachineCompletes(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.Radix = 33, 33
+	s := runSmall(t, NewTC(64, 33), cfg)
+	if s.ReadMisses == 0 {
+		t.Fatalf("no misses recorded: %+v", s)
+	}
+}

@@ -344,10 +344,10 @@ func (n *Network) dropUnroutable(sw *swc, p topo.Port, v int, t *tx) {
 	for i, e := range q.q {
 		if e == t {
 			q.q = append(q.q[:i], q.q[i+1:]...)
-			sw.queued--
 			break
 		}
 	}
+	n.reindex(sw, int(p), v)
 	n.doms[0].stats.Unroutable++
 	n.fail(&UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
 		From: t.hops[t.hopIdx].Sw, Down: n.DownReport()})
@@ -386,7 +386,6 @@ func (n *Network) refloodRoutes() {
 		for i, e := range q.q {
 			if e == d.t {
 				q.q = append(q.q[:i], q.q[i+1:]...)
-				d.sw.queued--
 				break
 			}
 		}
@@ -414,7 +413,13 @@ func (n *Network) refloodRoutes() {
 		}
 	}
 	for i := range n.switches {
-		n.armArb(&n.switches[i])
+		sw := &n.switches[i]
+		for p := range sw.in {
+			for v := 0; v < VCsPerPort; v++ {
+				n.reindex(sw, p, v) // fixRoute may have rewritten a head's hops
+			}
+		}
+		n.armArb(sw)
 	}
 	for i := range n.injProc {
 		n.pumpInjection(&n.injProc[i])

@@ -41,6 +41,7 @@ package xbar
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
@@ -211,13 +212,19 @@ func (t *tx) onCanon(sw topo.SwitchID) bool {
 	return false
 }
 
-// vcq is one bounded virtual-channel FIFO.
+// vcq is one virtual-channel FIFO. An endpoint-fed queue holds at most
+// Config.VCQueueMsgs entries (pumpInjection checks before reserving a
+// slot), a switch-fed one is bounded by its sender's credits, and the
+// internal injection block is unbounded: snooper messages must not be
+// droppable (coherence-critical); the paper's feedback mechanism
+// blocks the arbiter instead, which the unbounded block stands in for.
 type vcq struct {
-	q   []*tx
-	cap int
+	q []*tx
+	// out is the output port whose candidate set holds this queue (see
+	// swc.cand), or -1 while the queue has no landed head.
+	out int
 }
 
-func (v *vcq) full() bool  { return len(v.q) >= v.cap }
 func (v *vcq) empty() bool { return len(v.q) == 0 }
 func (v *vcq) head() *tx   { return v.q[0] }
 func (v *vcq) push(t *tx)  { v.q = append(v.q, t) }
@@ -271,12 +278,17 @@ type swc struct {
 	// serial/sharded equivalence.
 	arbArmed bool
 	arbAt    sim.Cycle
-	// queued counts landed (non-placeholder) entries across all input
-	// queues. Placeholders never lead real entries within a queue, so
-	// queued == 0 means no arbitration candidate can exist and armArb
-	// skips the pass — the common case for credit returns and link-free
-	// triggers landing on a switch whose traffic already drained.
-	queued int
+	// cand is the candidate index the arbiter grants from, kept current
+	// by reindex at every queue-head change. Words
+	// [out*Network.candWords, (out+1)*Network.candWords) hold output
+	// out's candidate set: bit p*VCsPerPort+v is set while input queue
+	// (p, v) has a landed head whose next hop leaves on out. live has bit
+	// out set while that set is non-empty, and sweep is runArb's
+	// snapshot of live. Placeholders never lead landed entries within a
+	// queue, so an all-zero live means nothing is queued at all.
+	cand  []uint64
+	live  []uint64
+	sweep []uint64
 	// down marks whole-switch failure: the directory snoop is dead and
 	// traversals pay DegradedPenalty (see faults.go).
 	down bool
@@ -289,6 +301,9 @@ type Network struct {
 	cfg       Config
 	core      sim.Cycle
 	creditLat sim.Cycle
+	// candWords is the length of one candidate set (swc.cand) in 64-bit
+	// words, enough for a switch's (2·Radix+1)·VCsPerPort input queues.
+	candWords int
 	// switches holds every switch by ordinal (stage-major: all of rank
 	// 0, then rank 1, …) as a flat value slice; port arrays are carved
 	// from shared slabs so one rank's state is contiguous in memory.
@@ -490,19 +505,24 @@ func (n *Network) endDom(e mesg.End) *domain {
 }
 
 // build wires switches and links from the topology's Peer oracle, so
-// the same code covers every stage count. Port arrays are carved from
-// three fabric-wide slabs in ordinal (stage-major) order: a rank's —
-// and hence a shard subtree's — switch state is contiguous in memory,
-// and construction does three allocations instead of three per switch.
+// the same code covers every stage count. Port arrays and candidate
+// index words are carved from fabric-wide slabs in ordinal
+// (stage-major) order: a rank's — and hence a shard subtree's — switch
+// state is contiguous in memory, and construction allocates per fabric
+// instead of per switch.
 func (n *Network) build() {
 	tp := n.tp
 	r := tp.Radix
 	total := tp.NumSwitches()
 	nin, nout := 2*r+1, 2*r
+	n.candWords = (nin*VCsPerPort + 63) / 64
+	nc, nl := nout*n.candWords, (nout+63)/64
 	n.switches = make([]swc, total)
 	inSlab := make([][VCsPerPort]vcq, total*nin)
 	outSlab := make([]outLink, total*nout)
 	upsSlab := make([]upstream, total*nin)
+	candSlab := make([]uint64, total*nc)
+	liveSlab := make([]uint64, 2*total*nl)
 	for ord := 0; ord < total; ord++ {
 		s := &n.switches[ord]
 		s.id = tp.OrdinalSwitch(ord)
@@ -511,17 +531,13 @@ func (n *Network) build() {
 		s.in = inSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
 		s.out = outSlab[ord*nout : (ord+1)*nout : (ord+1)*nout]
 		s.ups = upsSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
+		s.cand = candSlab[ord*nc : (ord+1)*nc : (ord+1)*nc]
+		s.live = liveSlab[2*ord*nl : (2*ord+1)*nl : (2*ord+1)*nl]
+		s.sweep = liveSlab[(2*ord+1)*nl : (2*ord+2)*nl : (2*ord+2)*nl]
 		for p := range s.in {
 			for v := 0; v < VCsPerPort; v++ {
-				s.in[p][v].cap = n.cfg.VCQueueMsgs
+				s.in[p][v].out = -1
 			}
-		}
-		// The internal injection block is generously sized: snooper
-		// messages must not be droppable (coherence-critical); the
-		// paper's feedback mechanism blocks the arbiter instead, which
-		// this capacity stands in for.
-		for v := 0; v < VCsPerPort; v++ {
-			s.in[2*r][v].cap = 1 << 20
 		}
 	}
 	for ord := 0; ord < total; ord++ {
@@ -652,8 +668,9 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 		t := data.(*tx)
 		sw := &n.switches[arg]
 		t.enqueued = sw.dom.eng.Now()
-		sw.in[len(sw.in)-1][vcFor(t.m)].push(t)
-		sw.queued++
+		p, v := len(sw.in)-1, vcFor(t.m)
+		sw.in[p][v].push(t)
+		n.reindex(sw, p, v)
 		n.armArb(sw)
 	}
 }
@@ -694,7 +711,7 @@ func (n *Network) pumpInjection(il *injLink) {
 		sw := &n.switches[n.tp.SwitchOrdinal(h.Sw)]
 		vc := vcFor(t.m)
 		q := &sw.in[h.In][vc]
-		if q.full() {
+		if len(q.q) >= n.cfg.VCQueueMsgs {
 			return // retried when the queue drains (credit return)
 		}
 		eng := sw.dom.eng
@@ -734,14 +751,54 @@ func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 	} else {
 		q.push(t)
 	}
-	sw.queued++
 	if n.faulty() && !n.fixRoute(t) {
 		// A fault landed while the message was on the wire and its
 		// destination did not survive it.
 		n.dropUnroutable(sw, p, v, t)
 		return
 	}
+	n.reindex(sw, int(p), v)
 	n.armArb(sw)
+}
+
+// reindex brings input queue (p, v)'s membership in sw's candidate
+// index up to date with the queue's head. Call it after every change
+// to a queue head: a push onto an empty queue, a placeholder fill, a
+// pop, a splice, or a route rewrite of a queued head.
+func (n *Network) reindex(sw *swc, p, v int) {
+	q := &sw.in[p][v]
+	out := -1
+	if !q.empty() && q.head() != nil {
+		h := q.head()
+		out = int(h.hops[h.hopIdx].Out)
+	}
+	if out == q.out {
+		return
+	}
+	qi := p*VCsPerPort + v
+	w, bit := qi>>6, uint64(1)<<(qi&63)
+	if q.out >= 0 {
+		set := sw.cand[q.out*n.candWords : (q.out+1)*n.candWords]
+		set[w] &^= bit
+		if none(set) {
+			sw.live[q.out>>6] &^= 1 << (q.out & 63)
+		}
+	}
+	if out >= 0 {
+		sw.cand[out*n.candWords+w] |= bit
+		sw.live[out>>6] |= 1 << (out & 63)
+	}
+	q.out = out
+}
+
+// none reports whether a bit set is empty.
+func none(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // armArb schedules sw's coalesced arbitration pass for the current
@@ -750,7 +807,7 @@ func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 // scheduling order, the pass runs after every landing of this cycle,
 // so it always sees the cycle's complete queue/credit/link state.
 func (n *Network) armArb(sw *swc) {
-	if sw.queued == 0 {
+	if none(sw.live) {
 		return // no candidate can exist; nothing to arbitrate
 	}
 	eng := sw.dom.eng
@@ -762,43 +819,31 @@ func (n *Network) armArb(sw *swc) {
 	eng.AtEvent(now, n, opArb, uint64(sw.ord), nil)
 }
 
-// runArb is one coalesced arbitration pass over all of sw's outputs,
-// iterated to a fixpoint: a grant may free a queue whose new head
-// wants a different output, so sweeping until no output grants is the
-// event-coupled equivalent of the old grant-chain recursion.
+// runArb is one coalesced arbitration pass over sw's outputs that have
+// a candidate, in ascending port order, iterated to a fixpoint: a
+// grant may free a queue whose new head wants a different output, so
+// sweeping until no output grants is the event-coupled equivalent of
+// the old grant-chain recursion. Each sweep visits the outputs live at
+// its start; decisions stay lazy per output (tryOutput consults the
+// index at its turn), so heads exposed by an earlier grant in the same
+// sweep are seen by later outputs in it, and a head exposed for an
+// output not in the snapshot is caught by the next sweep at the same
+// cycle.
 func (n *Network) runArb(sw *swc) {
 	sw.arbArmed = false
 	now := sw.dom.eng.Now()
 	for {
-		// One scan over the queue heads tells us which outputs have any
-		// candidate at all; only those pay a pickOldest pass. Decisions
-		// stay lazy per output (tryOutput rescans at its turn), so heads
-		// exposed by an earlier grant in the same sweep are seen by
-		// later outputs exactly as a full sweep would see them; a head
-		// exposed for an output not in this sweep's mask is caught by
-		// the next fixpoint iteration at the same cycle.
-		var wanted uint64
-		if len(sw.out) > 64 {
-			wanted = ^uint64(0) // mask can't cover the ports; full sweep
-		} else {
-			for p := range sw.in {
-				for v := 0; v < VCsPerPort; v++ {
-					q := &sw.in[p][v]
-					if q.empty() || q.head() == nil {
-						continue
-					}
-					h := q.head()
-					wanted |= 1 << uint(h.hops[h.hopIdx].Out)
-				}
-			}
-		}
+		copy(sw.sweep, sw.live)
 		granted := false
-		for out := range sw.out {
-			if wanted&(1<<uint(out)) == 0 || sw.out[out].freeAt > now {
-				continue
-			}
-			if n.tryOutput(sw, topo.Port(out)) {
-				granted = true
+		for w, word := range sw.sweep {
+			for ; word != 0; word &= word - 1 {
+				out := w<<6 | bits.TrailingZeros64(word)
+				if sw.out[out].freeAt > now {
+					continue
+				}
+				if n.tryOutput(sw, topo.Port(out)) {
+					granted = true
+				}
 			}
 		}
 		if !granted {
@@ -832,31 +877,26 @@ func (n *Network) tryOutput(sw *swc, out topo.Port) bool {
 }
 
 // pickOldest returns the input queue (port, vc) whose head is the
-// oldest message destined for out. Heads blocked by exhausted credit
-// are not skipped: age order holds the output for them (the grant
-// attempt fails and the port waits for credit), preserving the
-// paper's age-based arbitration fairness.
+// oldest message destined for out, walking out's candidate set in
+// ascending p*VCsPerPort+v order so that the first of equally old
+// heads wins. Heads blocked by exhausted credit are not skipped: age
+// order holds the output for them (the grant attempt fails and the
+// port waits for credit), preserving the paper's age-based
+// arbitration fairness.
 func (n *Network) pickOldest(sw *swc, out topo.Port) (int, int, bool) {
-	bp, bv := 0, 0
-	found := false
+	best := -1
 	var bestAge sim.Cycle
-	for p := range sw.in {
-		for v := 0; v < VCsPerPort; v++ {
-			q := &sw.in[p][v]
-			if q.empty() || q.head() == nil {
-				continue
-			}
-			h := q.head()
-			if h.hops[h.hopIdx].Out != out {
-				continue
-			}
-			if !found || h.injected < bestAge {
-				bp, bv, found = p, v, true
-				bestAge = h.injected
+	set := sw.cand[int(out)*n.candWords : int(out+1)*n.candWords]
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			qi := w<<6 | bits.TrailingZeros64(word)
+			h := sw.in[qi/VCsPerPort][qi%VCsPerPort].head()
+			if best < 0 || h.injected < bestAge {
+				best, bestAge = qi, h.injected
 			}
 		}
 	}
-	return bp, bv, found
+	return best / VCsPerPort, best % VCsPerPort, best >= 0
 }
 
 // grant moves the head of input queue (p, v) across output port out.
@@ -874,7 +914,7 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		return false
 	}
 	q.pop()
-	sw.queued--
+	n.reindex(sw, p, v)
 	now := eng.Now()
 	dom.stats.QueueWait += uint64(now - t.enqueued)
 

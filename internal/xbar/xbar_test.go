@@ -1,6 +1,9 @@
 package xbar
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"dresar/internal/mesg"
@@ -304,18 +307,66 @@ func TestBackpressureDoesNotDropOrDeadlock(t *testing.T) {
 	}
 }
 
+// replySnooper stands in for a switch directory: at the top rank it
+// sinks every ReadReq for an odd block and answers it from the switch
+// with a ReadReply to the requester after a directory-port delay. The
+// replies enter through the switch's internal injection block, the
+// input queues numbered from 2·Radix·VCsPerPort up.
+type replySnooper struct{ top int }
+
+func (s replySnooper) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) Action {
+	if sw.Stage != s.top || m.Kind != mesg.ReadReq || m.Addr>>5&1 == 0 {
+		return Action{}
+	}
+	return Action{Sink: true, ExtraDelay: 2, Generated: []*mesg.Message{{
+		Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Dst, Dst: m.Src,
+	}}}
+}
+
+// TestRandomTrafficAllConfigs drives seeded random traffic, with
+// switch-generated replies, through every switch shape the arbiter
+// must handle and pins its decisions: a hash over every delivery's
+// (cycle, endpoint, message ID) and the final TotalStats changes if
+// any grant moves by one cycle. The shapes cover radix 4 and 8 at two
+// stages, the three-stage 512/8 fabric, radix 16 (66 input queues: the
+// injection block's two fall past the first 64-bit word) and radix 33
+// (66 outputs). The 33/33 fabric pins no hash: it only has to drain, which
+// an arbiter that cannot grant output ports 64 and up fails.
 func TestRandomTrafficAllConfigs(t *testing.T) {
-	for _, cfg := range [][2]int{{16, 4}, {16, 8}, {64, 8}} {
-		tp := topo.MustNew(cfg[0], cfg[1])
+	for _, c := range []struct {
+		nodes, radix int
+		want         uint64 // 0: assert full delivery only
+	}{
+		{16, 4, 0x35d083d98d2642b4},
+		{16, 8, 0x5787636f27080205},
+		{64, 8, 0x995d8a14e97e2e34},
+		{512, 8, 0x4833ad3108eb0073},
+		{32, 16, 0x36dba9bace636327},
+		{33, 33, 0},
+	} {
+		tp := topo.MustNew(c.nodes, c.radix)
 		eng := sim.NewEngine()
-		net := New(eng, tp, Config{})
+		net := New(eng, tp, Config{Snoop: replySnooper{top: tp.Stages - 1}})
+		h := fnv.New64a()
+		var buf [8]byte
+		word := func(x uint64) {
+			binary.LittleEndian.PutUint64(buf[:], x)
+			h.Write(buf[:])
+		}
 		delivered := 0
+		deliver := func(e mesg.End) Handler {
+			return func(m *mesg.Message) {
+				delivered++
+				word(uint64(eng.Now()))
+				word(endArg(e))
+				word(m.ID)
+			}
+		}
 		for i := 0; i < tp.Nodes; i++ {
-			net.AttachProc(i, func(m *mesg.Message) { delivered++ })
-			net.AttachMem(i, func(m *mesg.Message) { delivered++ })
+			net.AttachProc(i, deliver(mesg.P(i)))
+			net.AttachMem(i, deliver(mesg.M(i)))
 		}
 		rng := sim.NewRNG(99)
-		sent := 0
 		for i := 0; i < 2000; i++ {
 			src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
 			var m *mesg.Message
@@ -328,15 +379,25 @@ func TestRandomTrafficAllConfigs(t *testing.T) {
 				m = &mesg.Message{Kind: mesg.CtoCReply, Src: mesg.P(src), Dst: mesg.P(dst)}
 			}
 			m.Addr = uint64(rng.Intn(1<<20)) * 32
-			eng.At(sim.Cycle(rng.Intn(5000)), func() { net.Send(m) })
-			sent++
+			eng.At(sim.Cycle(rng.Intn(1000)), func() { net.Send(m) })
 		}
 		eng.Run(0)
-		if delivered != sent {
-			t.Fatalf("%v: delivered %d of %d", tp, delivered, sent)
+		st := net.TotalStats()
+		if st.Generated == 0 {
+			t.Fatalf("%v: snooper generated nothing", tp)
+		}
+		if want := st.Sent - st.Sunk + st.Generated; uint64(delivered) != want {
+			t.Fatalf("%v: delivered %d of %d", tp, delivered, want)
 		}
 		if !net.Quiesced() {
 			t.Fatalf("%v: not quiesced", tp)
+		}
+		for _, x := range []uint64{st.Sent, st.Delivered, st.Sunk, st.Generated, st.FlitHops,
+			st.QueueWait, st.Retransmits, st.Reroutes, st.Unroutable, st.DegradedHops} {
+			word(x)
+		}
+		if got := h.Sum64(); c.want != 0 && got != c.want {
+			t.Errorf("%v: delivery hash %#x, want %#x (arbitration decisions changed)", tp, got, c.want)
 		}
 	}
 }
@@ -363,4 +424,45 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 		}
 	}
 	eng.Run(0)
+}
+
+// BenchmarkNetworkThroughputRadix8 prices the xbar layer at the radix of
+// the 64–1024-node scalability cells: random read requests and
+// data replies through the 64-node two-stage and 512-node three-stage
+// radix-8 fabrics, drained after every Nodes sends so that heads
+// contend for outputs. Messages are pooled, so the time is the
+// network's own. It reports host time per message and per flit-hop.
+func BenchmarkNetworkThroughputRadix8(b *testing.B) {
+	for _, nodes := range []int{64, 512} {
+		tp := topo.MustNew(nodes, 8)
+		b.Run(fmt.Sprintf("%dnodes-%dstage", nodes, tp.Stages), func(b *testing.B) {
+			eng := sim.NewEngine()
+			net := New(eng, tp, Config{})
+			pool := &mesg.Pool{}
+			for i := 0; i < nodes; i++ {
+				net.AttachProc(i, pool.Release)
+				net.AttachMem(i, pool.Release)
+			}
+			rng := sim.NewRNG(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := pool.Get()
+				src, dst := rng.Intn(nodes), rng.Intn(nodes)
+				if i%2 == 0 {
+					*m = mesg.Message{Kind: mesg.ReadReq, Src: mesg.P(src), Dst: mesg.M(dst)}
+				} else {
+					*m = mesg.Message{Kind: mesg.ReadReply, Src: mesg.M(src), Dst: mesg.P(dst), Data: 1}
+				}
+				m.Addr = uint64(i) * 32
+				net.Send(m)
+				if i%nodes == nodes-1 {
+					eng.Run(0)
+				}
+			}
+			eng.Run(0)
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N), "ns/msg")
+			b.ReportMetric(ns/float64(net.TotalStats().FlitHops), "ns/flit-hop")
+		})
+	}
 }

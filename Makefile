@@ -1,18 +1,25 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-race test-race-sharded vet lint lint-json bench-test bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
-# The default gate: compile, static checks (go vet plus the repo's own
-# dresar-lint analyzers), tests, the repository benchmark's own tests,
-# the race detector (the fault-injection and watchdog paths are
-# concurrency-sensitive by construction), and a short run of the
-# coverage-guided fuzzers.
-check: build vet lint test bench-test test-race fuzz-short
+# The default gate: compile, formatting, static checks (go vet plus
+# the repo's own dresar-lint analyzers), tests, the repository
+# benchmark's own tests, the race detector (the fault-injection and
+# watchdog paths are concurrency-sensitive by construction), and a
+# short run of the coverage-guided fuzzers.
+check: build fmt vet lint test bench-test test-race fuzz-short
 
 build:
 	go build ./...
+
+# Fails when gofmt would change any tracked Go file. Analyzer fixtures
+# under testdata/ are exempt: their layout is part of what they test.
+fmt:
+	@files=$$(git ls-files '*.go' | grep -v /testdata/) || exit 1; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...

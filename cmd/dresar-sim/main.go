@@ -19,8 +19,7 @@
 //
 // -shard-workers > 1 executes the single-run machine on the sharded
 // parallel engine (cycle-identical statistics at any worker count;
-// see DESIGN.md "Parallel execution model"); the environment variable
-// DRESAR_ENGINE=sharded does the same with a CPU-derived width.
+// see DESIGN.md "Parallel execution model"); 0 or 1 runs it serially.
 // Incompatible with -faults/-net-faults/-watchdog (serial-only
 // features). -cpuprofile/-memprofile write pprof profiles, and
 // -exectrace writes a runtime/trace execution trace — `go tool trace`
@@ -77,7 +76,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the full figure sweep (every app × directory size) instead of one kernel")
 	scale := flag.String("scale", "small", "sweep input scale: small or paper")
 	workers := flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial)")
-	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count (0 = serial unless DRESAR_ENGINE=sharded, 1 = serial, >1 = parallel engine)")
+	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count (0 or 1 = serial, >1 = parallel engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	exectrace := flag.String("exectrace", "", "write a runtime/trace execution trace to this file (inspect with `go tool trace`)")

@@ -11,7 +11,8 @@
 //   - imports of math/rand or math/rand/v2 (global, unseeded state;
 //     use sim.RNG);
 //   - calls to time.Now / time.Since / time.Until (wall-clock leakage
-//     into simulated time);
+//     into simulated time) and to os.Getenv / os.LookupEnv / os.Environ
+//     (environment side channels around the explicit configuration);
 //   - `go` statements (each engine is strictly single-threaded;
 //     goroutine interleaving is nondeterministic by definition). The
 //     exceptions are registered per *function* (goAllowedFuncs), not
@@ -40,7 +41,7 @@ import (
 // Analyzer is the detlint instance.
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
-	Doc:  "flag nondeterminism sources (map-order side effects, wall clock, global rand, goroutines) in event-path packages",
+	Doc:  "flag nondeterminism sources (map-order side effects, wall clock, environment, global rand, goroutines) in event-path packages",
 	Run:  run,
 }
 
@@ -83,8 +84,17 @@ var pureBuiltins = map[string]bool{
 	"copy": true, "make": true, "new": true, "min": true, "max": true,
 }
 
-// bannedTimeFuncs leak wall-clock time into the simulation.
-var bannedTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+// bannedCalls maps a package path to its functions that leak host
+// state into the simulation, and the reason reported for a call.
+var bannedCalls = map[string]struct {
+	funcs  map[string]bool
+	reason string
+}{
+	"time": {map[string]bool{"Now": true, "Since": true, "Until": true},
+		"wall clock is not replayable, use sim.Engine cycles"},
+	"os": {map[string]bool{"Getenv": true, "LookupEnv": true, "Environ": true},
+		"the environment is a side channel, take the setting from the caller's configuration"},
+}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	path := pass.Pkg.Path()
@@ -105,8 +115,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					pass.Reportf(n.Pos(), "detlint: goroutine in event-path package %s: the engine is single-threaded; schedule an event instead (or register the function in goAllowedFuncs)", path)
 				}
 			case *ast.CallExpr:
-				if name, ok := timeCall(pass, n); ok {
-					pass.Reportf(n.Pos(), "detlint: time.%s in event-path package %s: wall clock is not replayable, use sim.Engine cycles", name, path)
+				if name, reason, ok := bannedCall(pass, n); ok {
+					pass.Reportf(n.Pos(), "detlint: %s in event-path package %s: %s", name, path, reason)
 				}
 			case *ast.RangeStmt:
 				checkRange(pass, n)
@@ -146,21 +156,22 @@ func declName(fd *ast.FuncDecl) string {
 	return "(" + exprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 }
 
-// timeCall reports whether call invokes a banned package-level time
-// function.
-func timeCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+// bannedCall reports whether call invokes a function in bannedCalls,
+// returning its qualified name and the reason.
+func bannedCall(pass *analysis.Pass, call *ast.CallExpr) (name, reason string, ok bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false
+		return "", "", false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-		return "", false
+	if !ok || fn.Pkg() == nil {
+		return "", "", false
 	}
-	if bannedTimeFuncs[fn.Name()] {
-		return fn.Name(), true
+	b := bannedCalls[fn.Pkg().Path()]
+	if !b.funcs[fn.Name()] {
+		return "", "", false
 	}
-	return "", false
+	return fn.Pkg().Path() + "." + fn.Name(), b.reason, true
 }
 
 // checkRange flags `range m` over a map whose body is order-sensitive.

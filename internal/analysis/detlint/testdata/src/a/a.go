@@ -4,6 +4,7 @@ package a
 
 import (
 	"math/rand" // want `detlint: import of math/rand`
+	"os"
 	"sort"
 	"time"
 )
@@ -62,6 +63,18 @@ func localOnly(m map[int]int) int {
 
 func clock() int64 {
 	return time.Now().UnixNano() // want `detlint: time\.Now`
+}
+
+// env: a setting read from the environment bypasses the config.
+func env() bool {
+	_, set := os.LookupEnv("ENGINE")        // want `detlint: os\.LookupEnv in event-path package a: the environment is a side channel`
+	return set || os.Getenv("ENGINE") != "" // want `detlint: os\.Getenv`
+}
+
+// file: the rest of package os is not an environment read.
+func file() error {
+	_, err := os.Stat("x")
+	return err
 }
 
 func spawn(f func()) {

@@ -126,9 +126,6 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // AccessCycles is the hit latency of this level.
 func (c *Cache) AccessCycles() uint64 { return c.cfg.AccessCycles }
 

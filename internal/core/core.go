@@ -14,8 +14,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -84,11 +82,9 @@ type Config struct {
 	// machine on the serial engine; >1 partitions it across that many
 	// shards executing in parallel under conservative lookahead-quantum
 	// synchronization (sim.ShardedEngine), with results cycle-identical
-	// to the serial engine at any worker count. When 0, the environment
-	// variable DRESAR_ENGINE=sharded selects sharded execution with a
-	// worker count derived from the host CPU count. The count is capped
-	// at the number of topology units (leaf + top switches). Fault
-	// injection and the protocol monitor require serial execution.
+	// to the serial engine at any worker count. The count is capped at
+	// the number of switches. Fault injection and the protocol monitor
+	// require serial execution.
 	ShardWorkers int
 
 	// ShardWindowFuzz, when nonzero, seeds adversarial randomization of
@@ -270,9 +266,6 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	workers := cfg.ShardWorkers
-	if workers == 0 && os.Getenv("DRESAR_ENGINE") == "sharded" {
-		workers = runtime.NumCPU()
-	}
 	if units := tp.NumSwitches(); workers > units {
 		workers = units
 	}

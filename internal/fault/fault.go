@@ -195,9 +195,6 @@ func NewInjector(plan Plan, eng *sim.Engine) *Injector {
 	return &Injector{plan: plan, eng: eng, rng: sim.NewRNG(seed), dropLeft: plan.DropFirst}
 }
 
-// Plan returns the injector's (normalized) plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // faultable reports whether a message is in the recoverable fault
 // domain: home-bound requests, which the node NI retransmits on
 // timeout.

@@ -163,11 +163,11 @@ func TestAttachSDirDisableSchedules(t *testing.T) {
 	eng := sim.NewEngine()
 	in := NewInjector(Plan{Seed: 2, DisableOneAt: 100, DisableAllAt: 200}, eng)
 	in.AttachSDir(f, 16)
-	eng.RunUntil(150)
+	eng.Drain(150)
 	if f.DisabledCount() != 1 {
 		t.Fatalf("disable-one at 100: %d disabled at cycle 150", f.DisabledCount())
 	}
-	eng.RunUntil(250)
+	eng.Drain(250)
 	if f.DisabledCount() != f.DirCount() {
 		t.Fatalf("disable-all at 200: %d/%d disabled", f.DisabledCount(), f.DirCount())
 	}

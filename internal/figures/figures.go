@@ -129,13 +129,12 @@ func stopProbe(ctx context.Context) func() bool {
 }
 
 // ShardWorkers selects the intra-run execution engine for every
-// execution-driven machine the figure helpers build: 0 defers to the
-// DRESAR_ENGINE environment variable, 1 forces the serial engine, >1
-// runs each cell on the sharded parallel engine with that many
-// workers. Figure values are cycle-identical at any setting (enforced
-// by the serial-vs-sharded differential tests), so this is purely a
-// wall-clock knob — combine with SweepN's pool width bearing in mind
-// the two multiply.
+// execution-driven machine the figure helpers build: 0 or 1 runs each
+// cell on the serial engine, >1 on the sharded parallel engine with
+// that many workers. Figure values are cycle-identical at any setting
+// (enforced by the serial-vs-sharded differential tests), so this is
+// purely a wall-clock knob — combine with SweepN's pool width bearing
+// in mind the two multiply.
 var ShardWorkers int
 
 func runScientific(ctx context.Context, app string, scale Scale, entries int) (Result, error) {

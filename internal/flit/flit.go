@@ -66,9 +66,6 @@ type Flit struct {
 	out int // output port, routed at the head
 }
 
-// Out reports the flit's routed output port at the current switch.
-func (f *Flit) Out() int { return f.out }
-
 // SetOut re-routes the flit for its next switch; only the head flit's
 // port matters (body flits follow the wormhole allocation).
 func (f *Flit) SetOut(o int) { f.out = o }

@@ -497,7 +497,7 @@ func TestReadRetransmitsOnTimeout(t *testing.T) {
 	r.n.Read(0x2040, func(v uint64, c ReadClass, lat sim.Cycle) { done = true })
 	// Let the first ReadReq go out, then silently "lose" it: never
 	// reply. The NI must re-send with the same transaction ID.
-	r.eng.RunUntil(500)
+	r.eng.Drain(500)
 	reqs := []*mesg.Message{}
 	for _, m := range r.take() {
 		if m.Kind == mesg.ReadReq {
@@ -546,7 +546,7 @@ func TestWriteRetransmitsOnTimeout(t *testing.T) {
 	r := newNrig()
 	r.n.cfg.RequestTimeout = 100
 	r.n.Write(0x3040, func(uint64, sim.Cycle) {})
-	r.eng.RunUntil(400)
+	r.eng.Drain(400)
 	var reqs []*mesg.Message
 	for _, m := range r.take() {
 		if m.Kind == mesg.WriteReq {

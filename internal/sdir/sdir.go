@@ -303,7 +303,7 @@ func transientOnly(k mesg.Kind) bool {
 // Snoop implements xbar.Snooper: the heart of the DRESAR protocol.
 // Kinds outside Table 1 bypass the directory entirely.
 //
-// A directory flagged faulty (Disable) is bypassed: it inserts
+// A directory flagged faulty (DisableOrdinal) is bypassed: it inserts
 // nothing, intercepts nothing, and charges no port contention, so all
 // traffic through the switch falls back to the base home protocol.
 // The only messages it still processes are the TRANSIENT-draining
@@ -661,13 +661,11 @@ func (f *Fabric) Lookup(sw topo.SwitchID, addr uint64) (EntryState, int, mesg.No
 	return Inv, 0, mesg.NodeSet{}
 }
 
-// Disable flags one switch's directory faulty: it is bypassed from
-// now on (see Snoop) and its MODIFIED entries are discarded — stale
-// optimization state a faulty array cannot be trusted to hold.
-// TRANSIENT entries survive so their in-flight transfers drain.
-func (f *Fabric) Disable(sw topo.SwitchID) { f.DisableOrdinal(f.tp.SwitchOrdinal(sw)) }
-
-// DisableOrdinal is Disable by switch ordinal (fault-plan addressing).
+// DisableOrdinal flags the directory of the switch with ordinal i
+// faulty: it is bypassed from now on (see Snoop) and its MODIFIED
+// entries are discarded — stale optimization state a faulty array
+// cannot be trusted to hold. TRANSIENT entries survive so their
+// in-flight transfers drain.
 func (f *Fabric) DisableOrdinal(i int) {
 	if f.disabled[i] {
 		return
@@ -683,7 +681,7 @@ func (f *Fabric) DisableOrdinal(i int) {
 	}
 }
 
-// FailSwitch models whole-switch death (as opposed to Disable's
+// FailSwitch models whole-switch death (as opposed to DisableOrdinal's
 // graceful degradation): the directory SRAM is gone, so every entry —
 // including TRANSIENT ones and their pending-buffer state — is
 // invalidated and the directory never processes another snoop.

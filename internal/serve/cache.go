@@ -88,12 +88,12 @@ type cacheMeta struct {
 // survives restart), and quarantine/ is trimmed oldest-first against
 // quarMaxBytes so corrupt entries cannot fill the disk either.
 type Cache struct {
-	dir       string
-	maxBytes  int64 // <= 0: unbounded
-	quarMax   int64 // <= 0: unbounded
-	mu        sync.Mutex
-	index     map[string]*cacheMeta
-	total     int64
+	dir                               string
+	maxBytes                          int64 // <= 0: unbounded
+	quarMax                           int64 // <= 0: unbounded
+	mu                                sync.Mutex
+	index                             map[string]*cacheMeta
+	total                             int64
 	hits, misses, writes, quarantined atomic.Uint64
 	evictions, evictedBytes           atomic.Uint64
 }

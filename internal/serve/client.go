@@ -210,17 +210,6 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	return raw, nil
 }
 
-// List fetches every job the server still has registered.
-func (c *Client) List(ctx context.Context) ([]JobStatus, error) {
-	var out struct {
-		Jobs []JobStatus `json:"jobs"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out, nil); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
-}
-
 // Stats fetches the server's /stats snapshot.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats

@@ -32,14 +32,14 @@ func FuzzJournalReplay(f *testing.F) {
 	var clean []byte
 	clean = append(clean, frameRecord(sub)...)
 	clean = append(clean, frameRecord(fin)...)
-	f.Add(clean)                               // well-formed log
-	f.Add(clean[:len(clean)-3])                // torn tail
+	f.Add(clean)                                        // well-formed log
+	f.Add(clean[:len(clean)-3])                         // torn tail
 	f.Add(append(append([]byte{}, clean...), clean...)) // duplicated records
 	flipped := append([]byte{}, clean...)
 	flipped[len(flipped)/2] ^= 1
-	f.Add(flipped) // bit flip
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})      // zero-length frame
-	f.Add(frameRecord([]byte("not json")))      // framed garbage
+	f.Add(flipped)                         // bit flip
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})  // zero-length frame
+	f.Add(frameRecord([]byte("not json"))) // framed garbage
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

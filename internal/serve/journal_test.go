@@ -192,7 +192,9 @@ func TestJournalSegmentRotation(t *testing.T) {
 	}
 }
 
-func fmtID(n int) string { return string([]byte{'j', '0', '0', '0', '0', byte('0' + n/10), byte('0' + n%10)}) }
+func fmtID(n int) string {
+	return string([]byte{'j', '0', '0', '0', '0', byte('0' + n/10), byte('0' + n%10)})
+}
 
 func TestJournalDuplicateRecordsIdempotent(t *testing.T) {
 	dir := t.TempDir()

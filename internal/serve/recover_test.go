@@ -170,11 +170,10 @@ func TestRestartResumeExactlyOnce(t *testing.T) {
 		{Op: opSubmit, Job: "j000001", Key: CacheKey(spec), Spec: &spec},
 		{Op: opStart, Job: "j000001"},
 	})
-	s, err := NewServer(Config{Workers: 1, JournalDir: journalDir})
+	s, err := newServer(Config{Workers: 1, JournalDir: journalDir}, instantSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sweep = instantSweep
 	j, ok := s.Get("j000001")
 	if !ok {
 		t.Fatal("job not recovered")

@@ -129,19 +129,25 @@ type Server struct {
 	// sweep runs a job's cells; figures.SweepCtx in production, a
 	// fake in the unit tests that exercise scheduling and failure
 	// classification without real simulations.
-	sweep func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
+	sweep sweepFunc
 }
+
+// sweepFunc has figures.SweepCtx's signature.
+type sweepFunc func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
 
 // NewServer builds a server, replays its journal (re-registering
 // terminal jobs and re-enqueueing interrupted ones), and starts its
 // worker pool.
-func NewServer(cfg Config) (*Server, error) {
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, figures.SweepCtx) }
+
+// newServer is NewServer with the sweep set before any job can run.
+func newServer(cfg Config, sweep sweepFunc) (*Server, error) {
 	cfg.fill()
 	s := &Server{
 		cfg:     cfg,
 		tenants: map[string]*tenantState{},
 		jobs:    map[string]*Job{},
-		sweep:   figures.SweepCtx,
+		sweep:   sweep,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())

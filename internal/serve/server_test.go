@@ -17,9 +17,6 @@ import (
 	"dresar/internal/xbar"
 )
 
-// sweepFn matches Server.sweep.
-type sweepFn func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
-
 // fakeResults builds a result map covering apps x sizes.
 func fakeResults(apps []string, sizes []int) map[string]map[int]figures.Result {
 	out := map[string]map[int]figures.Result{}
@@ -39,7 +36,7 @@ func instantSweep(ctx context.Context, scale figures.Scale, apps []string, sizes
 
 // blockingSweep waits for release (success) or ctx (typed abort, the
 // same shape the engines produce).
-func blockingSweep(release <-chan struct{}) sweepFn {
+func blockingSweep(release <-chan struct{}) sweepFunc {
 	return func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error) {
 		select {
 		case <-ctx.Done():
@@ -52,14 +49,11 @@ func blockingSweep(release <-chan struct{}) sweepFn {
 
 // newTestServer builds a server with the fake sweep and joins it at
 // test end.
-func newTestServer(t *testing.T, cfg Config, sweep sweepFn) *Server {
+func newTestServer(t *testing.T, cfg Config, sweep sweepFunc) *Server {
 	t.Helper()
-	s, err := NewServer(cfg)
+	s, err := newServer(cfg, sweep)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sweep != nil {
-		s.sweep = sweep
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -268,11 +262,10 @@ func TestTypedErrorClassification(t *testing.T) {
 
 func TestShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
-	s, err := NewServer(Config{Workers: 1})
+	s, err := newServer(Config{Workers: 1}, blockingSweep(release))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sweep = blockingSweep(release)
 	j, je := s.Submit(spec1())
 	if je != nil {
 		t.Fatal(je)
@@ -303,11 +296,10 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 func TestShutdownForcesStragglers(t *testing.T) {
-	s, err := NewServer(Config{Workers: 1})
+	s, err := newServer(Config{Workers: 1}, blockingSweep(nil)) // only a ctx cancel releases it
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sweep = blockingSweep(nil) // only a ctx cancel releases it
 	j, je := s.Submit(spec1())
 	if je != nil {
 		t.Fatal(je)

@@ -128,14 +128,13 @@ func TestWeightedFairDispatch(t *testing.T) {
 		<-step // each job blocks until the test releases it
 		return fakeResults(apps, sizes), nil
 	}
-	s, err := NewServer(Config{
+	s, err := newServer(Config{
 		Workers: 1, QueueDepth: 64,
 		Tenants: map[string]TenantConfig{"flood": {Weight: 2}, "calm": {Weight: 1}},
-	})
+	}, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sweep = sweep
 	t.Cleanup(func() {
 		close(step)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -13,7 +13,7 @@ func (a *nopActor) OnEvent(op int, arg uint64, data any) { a.fired++ }
 // times over, so any regression here multiplies across whole figure
 // sweeps — the budget is exactly zero, not "small".
 func TestScheduleFireZeroAlloc(t *testing.T) {
-	e := NewCalendarEngine()
+	e := NewEngine()
 	a := &nopActor{}
 	// Warm every bucket in the ring: each needs capacity for one event
 	// before the steady state is allocation-free.

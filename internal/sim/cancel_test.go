@@ -37,8 +37,8 @@ func TestEngineStopCheck(t *testing.T) {
 	}
 }
 
-// TestEngineStopCheckDrain covers the bounded loops (Drain/RunUntil):
-// the probe stops them too, without the clock jumping to the bound.
+// TestEngineStopCheckDrain covers the bounded loop: the probe stops
+// Drain too, without the clock jumping to the bound.
 func TestEngineStopCheckDrain(t *testing.T) {
 	e := NewEngine()
 	r := &reposter{e}

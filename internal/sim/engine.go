@@ -8,24 +8,16 @@
 // strictly single-threaded and deterministic: two events scheduled for
 // the same cycle fire in the order they were scheduled.
 //
-// Two interchangeable queue implementations back the engine. The
-// default is a calendar queue: a power-of-two ring of per-cycle FIFO
+// The queue is a calendar queue: a power-of-two ring of per-cycle FIFO
 // buckets covering the next calWindow cycles, with a concrete
 // (non-boxing) min-heap as overflow for events scheduled further out.
 // Near-term scheduling — the steady state for a cycle-accurate network
 // model, where everything lands within a few cycles — is a single
 // append with no heap sift and no interface boxing, so the hot path
-// allocates nothing once bucket capacity is warm. The seed
-// container/heap implementation is kept behind a switch
-// (NewHeapEngine, or DRESAR_ENGINE=heap) for differential testing;
-// both orderings are defined identically by (cycle, sequence).
+// allocates nothing once bucket capacity is warm.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, in 200MHz core cycles.
 type Cycle uint64
@@ -98,26 +90,6 @@ func (ev *event) fire() {
 	}
 	ev.actor.OnEvent(ev.op, ev.arg, ev.data)
 }
-
-// ---------------------------------------------------------------------
-// Legacy heap queue (seed implementation), kept for differential tests.
-
-type eventHeap []event
-
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// ---------------------------------------------------------------------
-// Calendar queue.
 
 const (
 	// calWindow is the span of the bucket ring. Events at most
@@ -229,7 +201,7 @@ func (h *hkeyHeap) pop() {
 }
 
 // Engine is a deterministic discrete-event scheduler.
-// The zero value is ready to use (calendar queue mode).
+// The zero value is ready to use.
 type Engine struct {
 	now Cycle
 	// seq counts locally-created events; seqBase is the engine's shard
@@ -238,8 +210,7 @@ type Engine struct {
 	// different shards never collide and compare as (shard, counter).
 	seq     uint64
 	seqBase uint64
-	cnt     int // scheduled events not yet executed (both queue modes)
-	mode    engineMode
+	cnt     int // scheduled events not yet executed
 
 	// Calendar queue state. Invariants, restored after every clock
 	// advance by migrate():
@@ -253,9 +224,6 @@ type Engine struct {
 	// bucket drains; refreshed on the next peek.
 	nextAt    Cycle
 	nextValid bool
-
-	// Legacy heap state (mode == engineHeap).
-	events eventHeap
 
 	stopped bool
 
@@ -299,47 +267,24 @@ type Engine struct {
 	slackLog hkeyHeap
 }
 
-type engineMode uint8
+// NewEngine returns an empty engine at cycle 0.
+func NewEngine() *Engine { return &Engine{} }
 
-const (
-	engineCalendar engineMode = iota
-	engineHeap
-)
-
-// NewEngine returns an empty engine at cycle 0, backed by the calendar
-// queue. Setting DRESAR_ENGINE=heap in the environment selects the
-// seed heap implementation instead, so any run (figure pins included)
-// can be replayed on both queues without a code change.
-func NewEngine() *Engine {
-	if os.Getenv("DRESAR_ENGINE") == "heap" {
-		return NewHeapEngine()
-	}
-	return &Engine{}
-}
-
-// NewCalendarEngine returns an engine explicitly backed by the
-// calendar queue, ignoring DRESAR_ENGINE.
-func NewCalendarEngine() *Engine {
-	e := &Engine{}
-	// Seed every bucket with a little capacity carved from one backing
-	// array: growing 1024 bucket slices from nil costs thousands of
-	// doubling reallocations per engine, which multiplies by the worker
-	// count under a ShardedEngine and shows up as per-worker allocs/op
-	// growth. One allocation here replaces the first few doublings of
-	// each bucket; hot buckets still grow past the carve on their own.
+// carveBuckets seeds every bucket with a little capacity carved from
+// one backing array: growing 1024 bucket slices from nil costs
+// thousands of doubling reallocations per engine, which multiplies by
+// the worker count under a ShardedEngine and shows up as per-worker
+// allocs/op growth. One allocation here replaces the first few
+// doublings of each bucket; hot buckets still grow past the carve on
+// their own.
+func (e *Engine) carveBuckets() {
 	const seedCap = 4
 	backing := make([]event, calWindow*seedCap)
 	for i := range e.buckets {
 		lo := i * seedCap
 		e.buckets[i].ev = backing[lo : lo : lo+seedCap]
 	}
-	return e
 }
-
-// NewHeapEngine returns an engine backed by the seed container/heap
-// queue. It defines the reference firing order for differential tests;
-// the calendar queue must match it event for event.
-func NewHeapEngine() *Engine { return &Engine{mode: engineHeap} }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -365,10 +310,6 @@ func (e *Engine) schedule(ev event) {
 		e.slackLog.push(hkeyEntry{at: ev.at, hkey: ev.at + ev.slack})
 	} else {
 		e.slack0++
-	}
-	if e.mode == engineHeap {
-		heap.Push(&e.events, ev)
-		return
 	}
 	if ev.at < e.now+calWindow {
 		b := &e.buckets[ev.at&calMask]
@@ -454,11 +395,6 @@ func (e *Engine) AtEventSlack(t, slack Cycle, a Actor, op int, arg uint64, data 
 	e.seq++
 }
 
-// AfterEventSlack schedules a slack-carrying event d cycles from now.
-func (e *Engine) AfterEventSlack(d, slack Cycle, a Actor, op int, arg uint64, data any) {
-	e.AtEventSlack(e.now+d, slack, a, op, arg, data)
-}
-
 // minHkey reports a sound lower bound on this engine's horizon: the
 // minimum (at + slack) over pending events. The cheap form exploits
 // that slack>0 events are rare: while any zero-slack event is pending
@@ -531,9 +467,6 @@ func (e *Engine) peek() (Cycle, bool) {
 	if e.cnt == 0 {
 		return 0, false
 	}
-	if e.mode == engineHeap {
-		return e.events[0].at, true
-	}
 	if e.nextValid {
 		return e.nextAt, true
 	}
@@ -555,15 +488,6 @@ func (e *Engine) peek() (Cycle, bool) {
 // pop removes and returns the earliest event, advancing the clock to
 // its cycle. It must only be called when at least one event is pending.
 func (e *Engine) pop() event {
-	if e.mode == engineHeap {
-		e.cnt--
-		ev := heap.Pop(&e.events).(event)
-		if !e.slackLogged(&ev) {
-			e.slack0--
-		}
-		e.now = ev.at
-		return ev
-	}
 	t, _ := e.peek()
 	e.cnt--
 	if t != e.now {
@@ -628,8 +552,8 @@ func (e *Engine) checkStop() bool {
 }
 
 // SetWatchdog arms the liveness watchdog: if the clock advances limit
-// cycles beyond the last Progress() mark while Run/RunUntil/Drain are
-// still executing events, the loop stops and onStall (may be nil) is
+// cycles beyond the last Progress() mark while Run or Drain is still
+// executing events, the loop stops and onStall (may be nil) is
 // invoked with the current cycle and the cycles elapsed since the last
 // mark. limit 0 disarms. Progress is reset to "now" when armed.
 func (e *Engine) SetWatchdog(limit Cycle, onStall func(now, sinceProgress Cycle)) {
@@ -699,40 +623,10 @@ func (e *Engine) Run(limit int) int {
 	return n
 }
 
-// RunUntil executes events with time <= t, then sets the clock to t.
-// It returns the number of events executed.
-func (e *Engine) RunUntil(t Cycle) int {
-	e.stopped = false
-	n := 0
-	for !e.stopped {
-		at, ok := e.peek()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
-		n++
-		if e.checkWatchdog() || e.checkStop() {
-			return n
-		}
-	}
-	// Jump the clock to t — unless Stop() left events <= t pending, in
-	// which case jumping would date them in the past (the seed heap
-	// tolerated that by letting the clock step backwards; the calendar
-	// ring cannot represent a past cycle, so neither mode jumps).
-	if at, ok := e.peek(); e.now < t && (!ok || at > t) {
-		e.now = t
-		if e.mode == engineCalendar {
-			e.migrate()
-		}
-	}
-	return n
-}
-
 // Drain executes events with time <= max without ever advancing the
-// clock past the last executed event (unlike RunUntil, which jumps to
-// max). Use it to run to completion under a watchdog bound while
-// keeping Now() meaningful as "when the work finished". It returns
-// the number of events executed.
+// clock past the last executed event. Use it to run to completion
+// under a watchdog bound while keeping Now() meaningful as "when the
+// work finished". It returns the number of events executed.
 func (e *Engine) Drain(max Cycle) int {
 	e.stopped = false
 	n := 0
@@ -750,5 +644,5 @@ func (e *Engine) Drain(max Cycle) int {
 	return n
 }
 
-// Stop makes the innermost Run/RunUntil return after the current event.
+// Stop makes the innermost Run or Drain return after the current event.
 func (e *Engine) Stop() { e.stopped = true }

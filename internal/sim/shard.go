@@ -36,15 +36,6 @@ type lane struct {
 	minHkey [2]Cycle
 }
 
-// Shard reports this engine's shard index (0 for a serial engine).
-func (e *Engine) Shard() int { return e.shard }
-
-// Lookahead reports the minimum cross-shard latency this engine
-// enforces on Post (0 for a serial engine, where Post degenerates to
-// AtEvent and needs no lookahead). Per-destination floors may be
-// larger (ShardedEngine.SetLookaheadMatrix); this is their minimum.
-func (e *Engine) Lookahead() Cycle { return e.lookahead }
-
 // setShard brands the engine as shard idx of a sharded group with the
 // given lookahead. Called by NewShardedEngine only.
 func (e *Engine) setShard(idx int, lookahead Cycle, group *ShardedEngine) {

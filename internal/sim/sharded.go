@@ -58,7 +58,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -170,7 +169,8 @@ func NewShardedEngine(n int, lookahead Cycle) *ShardedEngine {
 		hs:        make([]Cycle, n),
 	}
 	for i := range se.engs {
-		se.engs[i] = NewCalendarEngine()
+		se.engs[i] = NewEngine()
+		se.engs[i].carveBuckets()
 		se.engs[i].setShard(i, lookahead, se)
 		se.look[i] = make([]Cycle, n)
 		se.lanes[i] = make([]lane, n)
@@ -588,17 +588,6 @@ func (se *ShardedEngine) Run(max Cycle) int {
 			se.windowEnd[j] = end
 		}
 		se.round++
-		if debugRounds && se.round%100000 == 0 {
-			fmt.Printf("DBG round=%d t=%d hs=%v we=%v nows=[", se.round, t, se.hs, se.windowEnd)
-			for _, e := range se.engs {
-				fmt.Printf("%d ", e.now)
-			}
-			fmt.Printf("] cnts=[")
-			for _, e := range se.engs {
-				fmt.Printf("%d ", e.cnt)
-			}
-			fmt.Println("]")
-		}
 		r := se.round
 		se.stageParity = uint32(r & 1)
 		se.release.Store(r)
@@ -660,5 +649,3 @@ func (e *Engine) runWindow(end Cycle) int {
 	}
 	return n
 }
-
-var debugRounds = os.Getenv("DRESAR_DEBUG_ROUNDS") != ""

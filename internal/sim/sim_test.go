@@ -77,19 +77,19 @@ func TestEngineAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
+func TestEngineDrainBound(t *testing.T) {
 	e := NewEngine()
 	fired := map[Cycle]bool{}
 	for _, c := range []Cycle{1, 5, 10, 15} {
 		c := c
 		e.At(c, func() { fired[c] = true })
 	}
-	e.RunUntil(10)
+	e.Drain(10)
 	if !fired[1] || !fired[5] || !fired[10] {
 		t.Fatalf("events <= 10 did not all fire: %v", fired)
 	}
 	if fired[15] {
-		t.Fatalf("event at 15 fired during RunUntil(10)")
+		t.Fatalf("event at 15 fired during Drain(10)")
 	}
 	if e.Now() != 10 {
 		t.Fatalf("Now = %d, want 10", e.Now())
@@ -394,23 +394,17 @@ func TestWatchdogDisarmed(t *testing.T) {
 	}
 }
 
-func TestWatchdogInDrainAndRunUntil(t *testing.T) {
-	for _, mode := range []string{"drain", "rununtil"} {
-		e := NewEngine()
-		e.SetWatchdog(64, nil)
-		var tick func()
-		tick = func() { e.After(8, tick) }
-		e.After(8, tick)
-		if mode == "drain" {
-			e.Drain(1 << 20)
-		} else {
-			e.RunUntil(1 << 20)
-		}
-		if !e.Stalled() {
-			t.Fatalf("%s: watchdog did not trip", mode)
-		}
-		if e.Now() >= 1<<20 {
-			t.Fatalf("%s: clock jumped past the stall point to %d", mode, e.Now())
-		}
+func TestWatchdogInDrain(t *testing.T) {
+	e := NewEngine()
+	e.SetWatchdog(64, nil)
+	var tick func()
+	tick = func() { e.After(8, tick) }
+	e.After(8, tick)
+	e.Drain(1 << 20)
+	if !e.Stalled() {
+		t.Fatalf("watchdog did not trip")
+	}
+	if e.Now() >= 1<<20 {
+		t.Fatalf("clock jumped past the stall point to %d", e.Now())
 	}
 }

@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// Counter is a named monotonic event counter.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.N += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.N++ }
-
 // Accumulator tracks a running sum, count, min and max of cycle-valued
 // samples (e.g. per-read latency). The zero value is ready to use.
 type Accumulator struct {
@@ -84,9 +72,6 @@ func (h *Histogram) Observe(v uint64) {
 
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.acc.Count }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 
 // Percentile returns an upper bound on the p-th percentile (p in
 // [0,100]) using bucket upper edges.

@@ -252,12 +252,6 @@ func MustNew(nodes, radix int) *T {
 	return t
 }
 
-// Precompute is a no-op kept for callers of the pre-arithmetic API.
-// Routes are computed in O(1) per hop from the endpoint indices, T is
-// immutable, and hot-path memoization lives in per-shard RouteCaches —
-// there is no shared table left to build, and nothing to race on.
-func (t *T) Precompute() {}
-
 // NumSwitches reports the total switch count across all stages.
 func (t *T) NumSwitches() int { return t.Stages * t.Leaves }
 

@@ -392,12 +392,6 @@ func (c Config) Lookahead() sim.Cycle {
 	return core + mesg.LinkCyclesPerFlit
 }
 
-// InjectionFloor reports the minimum serialization delay of one flit
-// on a link for this configuration — the floor any occupancy-derived
-// lookahead refinement may assume for a message that has not yet
-// started traversal.
-func (c Config) InjectionFloor() sim.Cycle { return mesg.LinkCyclesPerFlit }
-
 // LookaheadMatrix reports the per-shard-pair lookahead floors of the
 // sharded fabric: entry [i][j] is the minimum number of cycles before
 // anything shard i does can be observed by shard j. Both couplings a

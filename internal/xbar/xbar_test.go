@@ -188,7 +188,8 @@ func TestAgeArbitrationPrefersOlder(t *testing.T) {
 	a := &mesg.Message{Kind: mesg.ReadReq, Addr: 1, Src: mesg.P(0), Dst: mesg.M(15)}
 	b := &mesg.Message{Kind: mesg.ReadReq, Addr: 2, Src: mesg.P(1), Dst: mesg.M(15)}
 	r.net.Send(a)
-	r.eng.RunUntil(1)
+	r.eng.At(1, func() {}) // hold the clock at cycle 1 once a's cycle-1 events have run
+	r.eng.Drain(1)
 	r.net.Send(b)
 	r.eng.Run(0)
 	if len(r.got) != 2 {

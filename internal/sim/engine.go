@@ -8,13 +8,16 @@
 // strictly single-threaded and deterministic: two events scheduled for
 // the same cycle fire in the order they were scheduled.
 //
-// The queue is a calendar queue: a power-of-two ring of per-cycle FIFO
-// buckets covering the next calWindow cycles, with a concrete
-// (non-boxing) min-heap as overflow for events scheduled further out.
+// Every pending event is one record in the engine's slab, written once
+// when it is scheduled; a fired record's slot goes on a last-in
+// first-out free list for the next schedule. The queue is a calendar
+// queue over those slots: a power-of-two ring of per-cycle buckets
+// covering the next calWindow cycles orders their 4-byte indices, and
+// a min-heap of indices holds the events scheduled further out.
 // Near-term scheduling — the steady state for a cycle-accurate network
-// model, where everything lands within a few cycles — is a single
-// append with no heap sift and no interface boxing, so the hot path
-// allocates nothing once bucket capacity is warm.
+// model, where everything lands within a few cycles — writes one record
+// and appends one index, with no heap sift and no interface boxing, so
+// the hot path allocates nothing once the slab and buckets are warm.
 package sim
 
 import "fmt"
@@ -44,21 +47,27 @@ type Actor interface {
 // whenever the colliding events were created on different cycles, and
 // same-cycle creations fall back to the (srcShard, srcSeq) tie-break,
 // which the model must keep unobservable (see the coalesced
-// arbitration in package xbar). Exactly one of fn and actor is set: fn
-// for closure events, actor+op+arg+data for record events. slack is
-// the event's horizon promise (see AtEventSlack); it never affects
-// firing order, only the sharded coordinator's window grants.
+// arbitration in package xbar). Firing calls actor.OnEvent(op, arg,
+// data); an At closure rides in data behind closureActor. slack is the
+// event's horizon promise (see AtEventSlack); it never affects firing
+// order, only the sharded coordinator's window grants.
 type event struct {
 	at     Cycle
 	madeAt Cycle
 	seq    uint64
 	slack  Cycle
-	fn     func()
 	actor  Actor
 	op     int
 	arg    uint64
 	data   any
 }
+
+// closureActor fires At closures, which ride in the event's data word:
+// a func value is one pointer, so boxing it in an interface does not
+// allocate, and closures share the actor events' one dispatch path.
+type closureActor struct{}
+
+func (closureActor) OnEvent(_ int, _ uint64, data any) { data.(func())() }
 
 // before reports whether a fires ahead of b: cycle order, then the
 // creation-time key (madeAt, srcShard, srcSeq).
@@ -82,15 +91,6 @@ const cycleMax = ^Cycle(0)
 // queue orders by plain (at, seq) and realizes (at, srcShard, srcSeq).
 const seqShardShift = 48
 
-// fire dispatches the event.
-func (ev *event) fire() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.actor.OnEvent(ev.op, ev.arg, ev.data)
-}
-
 const (
 	// calWindow is the span of the bucket ring. Events at most
 	// calWindow-1 cycles out take the bucket fast path; anything
@@ -100,27 +100,26 @@ const (
 	calMask   = calWindow - 1
 )
 
-// bucket is one cycle's FIFO of events. head indexes the next event to
-// fire; the backing array is reused across window wraps, so a warmed-up
-// engine appends without allocating.
+// bucket is one cycle's FIFO of slab slot indices. head indexes the
+// next event to fire; the backing array is reused across window wraps,
+// so a warmed-up engine appends without allocating.
 type bucket struct {
-	ev   []event
+	ev   []uint32
 	head int
 }
 
-// farHeap is a concrete min-heap ordered by the event key (at, madeAt,
-// seq). Unlike container/heap it moves event values without interface
-// boxing.
-type farHeap []event
+// farHeap is a min-heap of slab slot indices ordered by their records'
+// key (at, madeAt, seq).
+type farHeap []uint32
 
-func (h farHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+func (h farHeap) less(slab []event, i, j int) bool { return slab[h[i]].before(&slab[h[j]]) }
 
-func (h *farHeap) push(ev event) {
-	*h = append(*h, ev)
+func (h *farHeap) push(slab []event, slot uint32) {
+	*h = append(*h, slot)
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !(*h).less(slab, i, parent) {
 			break
 		}
 		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
@@ -128,12 +127,11 @@ func (h *farHeap) push(ev event) {
 	}
 }
 
-func (h *farHeap) pop() event {
+func (h *farHeap) pop(slab []event) uint32 {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // release references held by the vacated slot
 	*h = old[:n]
 	i := 0
 	for {
@@ -142,10 +140,10 @@ func (h *farHeap) pop() event {
 			break
 		}
 		min := l
-		if r < n && old.less(r, l) {
+		if r < n && old.less(slab, r, l) {
 			min = r
 		}
-		if !old.less(min, i) {
+		if !old.less(slab, min, i) {
 			break
 		}
 		old[i], old[min] = old[min], old[i]
@@ -159,9 +157,9 @@ func (h *farHeap) pop() event {
 // passed it), hkey its horizon key at + slack.
 type hkeyEntry struct{ at, hkey Cycle }
 
-// hkeyHeap is a concrete min-heap of hkeyEntry ordered by hkey. Like
-// farHeap it moves values without interface boxing; it holds only the
-// rare slack>0 events, so its operations stay off the hot path.
+// hkeyHeap is a concrete min-heap of hkeyEntry ordered by hkey, moving
+// values without interface boxing; it holds only the rare slack>0
+// events, so its operations stay off the hot path.
 type hkeyHeap []hkeyEntry
 
 func (h *hkeyHeap) push(en hkeyEntry) {
@@ -212,11 +210,15 @@ type Engine struct {
 	seqBase uint64
 	cnt     int // scheduled events not yet executed
 
-	// Calendar queue state. Invariants, restored after every clock
-	// advance by migrate():
+	// Calendar queue state. Each pending event is a record in slab; the
+	// buckets and the far heap hold slot indices, and free lists the
+	// vacated slots, so len(slab) == cnt + len(free). Invariants,
+	// restored after every clock advance by migrate():
 	//   - every bucket-resident event has at in [now, now+calWindow)
 	//     and lives in buckets[at&calMask];
 	//   - every far-heap event has at >= now+calWindow.
+	slab    []event
+	free    []uint32
 	buckets [calWindow]bucket
 	far     farHeap
 	// nextAt caches the earliest pending cycle so the run loops don't
@@ -270,8 +272,8 @@ type Engine struct {
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// carveBuckets seeds every bucket with a little capacity carved from
-// one backing array: growing 1024 bucket slices from nil costs
+// carveBuckets seeds every bucket with room for a few slot indices
+// carved from one backing array: growing 1024 bucket slices from nil costs
 // thousands of doubling reallocations per engine, which multiplies by
 // the worker count under a ShardedEngine and shows up as per-worker
 // allocs/op growth. One allocation here replaces the first few
@@ -279,7 +281,7 @@ func NewEngine() *Engine { return &Engine{} }
 // their own.
 func (e *Engine) carveBuckets() {
 	const seedCap = 4
-	backing := make([]event, calWindow*seedCap)
+	backing := make([]uint32, calWindow*seedCap)
 	for i := range e.buckets {
 		lo := i * seedCap
 		e.buckets[i].ev = backing[lo : lo : lo+seedCap]
@@ -303,30 +305,44 @@ func (e *Engine) slackLogged(ev *event) bool {
 	return e.group != nil && ev.slack > e.lookahead
 }
 
-// schedule enqueues ev (its at already clamped to >= now).
-func (e *Engine) schedule(ev event) {
+// slot returns a free slab slot for a new record, growing the slab only
+// when every slot holds a pending event.
+func (e *Engine) slot() uint32 {
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free = e.free[:n-1]
+		return s
+	}
+	e.slab = append(e.slab, event{})
+	return uint32(len(e.slab) - 1)
+}
+
+// schedule enqueues the record in slot s (its at already clamped to
+// >= now).
+func (e *Engine) schedule(s uint32) {
+	ev := &e.slab[s]
 	e.cnt++
-	if e.slackLogged(&ev) {
+	if e.slackLogged(ev) {
 		e.slackLog.push(hkeyEntry{at: ev.at, hkey: ev.at + ev.slack})
 	} else {
 		e.slack0++
 	}
 	if ev.at < e.now+calWindow {
 		b := &e.buckets[ev.at&calMask]
-		b.ev = append(b.ev, ev)
+		b.ev = append(b.ev, s)
 		// Keep the bucket in key order. Locally-created events arrive
 		// with monotonically increasing (madeAt, seq) stamps, so this
 		// loop runs zero iterations on the hot path; only a
 		// barrier-merged event whose creation-time key orders earlier
 		// walks backwards past locals already appended for the same
 		// cycle. Never past head: a merged delivery is strictly ahead
-		// of the clock, so every already-fired slot stays untouched.
-		for i := len(b.ev) - 1; i > b.head && ev.before(&b.ev[i-1]); i-- {
+		// of the clock, so no already-fired entry moves.
+		for i := len(b.ev) - 1; i > b.head && ev.before(&e.slab[b.ev[i-1]]); i-- {
 			b.ev[i] = b.ev[i-1]
-			b.ev[i-1] = ev
+			b.ev[i-1] = s
 		}
 	} else {
-		e.far.push(ev)
+		e.far.push(e.slab, s)
 	}
 	// Keep the earliest-cycle cache honest: a valid cache may only be
 	// lowered, and an invalid cache may only be revalidated when this
@@ -347,13 +363,7 @@ func (e *Engine) schedule(ev event) {
 // At schedules fn to run at cycle t. Scheduling in the past (t < Now)
 // runs fn at the current cycle instead; the engine never travels
 // backwards.
-func (e *Engine) At(t Cycle, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, fn: fn})
-	e.seq++
-}
+func (e *Engine) At(t Cycle, fn func()) { e.AtEventSlack(t, 0, closureActor{}, 0, 0, fn) }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
@@ -362,13 +372,10 @@ func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 // Now, like At), a.OnEvent(op, arg, data) fires. It shares the
 // (cycle, sequence) order with At-scheduled closures. Passing a
 // pointer (or nil) as data does not allocate; the steady-state
-// schedule+fire path is allocation-free once bucket capacity is warm.
+// schedule+fire path is allocation-free once the slab and buckets are
+// warm.
 func (e *Engine) AtEvent(t Cycle, a Actor, op int, arg uint64, data any) {
-	if t < e.now {
-		t = e.now
-	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, actor: a, op: op, arg: arg, data: data})
-	e.seq++
+	e.AtEventSlack(t, 0, a, op, arg, data)
 }
 
 // AfterEvent schedules a closure-free event d cycles from now.
@@ -391,8 +398,12 @@ func (e *Engine) AtEventSlack(t, slack Cycle, a Actor, op int, arg uint64, data 
 	if t < e.now {
 		t = e.now
 	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, slack: slack, actor: a, op: op, arg: arg, data: data})
+	s := e.slot()
+	ev := &e.slab[s]
+	ev.at, ev.madeAt, ev.seq, ev.slack = t, e.now, e.seqBase|e.seq, slack
+	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
 	e.seq++
+	e.schedule(s)
 }
 
 // minHkey reports a sound lower bound on this engine's horizon: the
@@ -443,7 +454,9 @@ func (e *Engine) insertMerged(ev event) {
 		panic(fmt.Sprintf("sim: shard %d: cross-shard event delivered at cycle %d not strictly ahead of local clock %d (unsound lookahead)",
 			e.shard, ev.at, e.now))
 	}
-	e.schedule(ev)
+	s := e.slot()
+	e.slab[s] = ev
+	e.schedule(s)
 }
 
 // migrate restores the calendar invariants after the clock advanced:
@@ -455,10 +468,10 @@ func (e *Engine) insertMerged(ev event) {
 // for that cycle restore seq order via the insertion walk in
 // schedule().
 func (e *Engine) migrate() {
-	for len(e.far) > 0 && e.far[0].at < e.now+calWindow {
-		ev := e.far.pop()
-		b := &e.buckets[ev.at&calMask]
-		b.ev = append(b.ev, ev)
+	for len(e.far) > 0 && e.slab[e.far[0]].at < e.now+calWindow {
+		s := e.far.pop(e.slab)
+		b := &e.buckets[e.slab[s].at&calMask]
+		b.ev = append(b.ev, s)
 	}
 }
 
@@ -481,32 +494,8 @@ func (e *Engine) peek() (Cycle, bool) {
 			return c, true
 		}
 	}
-	e.nextAt, e.nextValid = e.far[0].at, true
+	e.nextAt, e.nextValid = e.slab[e.far[0]].at, true
 	return e.nextAt, true
-}
-
-// pop removes and returns the earliest event, advancing the clock to
-// its cycle. It must only be called when at least one event is pending.
-func (e *Engine) pop() event {
-	t, _ := e.peek()
-	e.cnt--
-	if t != e.now {
-		e.now = t
-		e.migrate()
-	}
-	b := &e.buckets[t&calMask]
-	ev := b.ev[b.head]
-	b.ev[b.head] = event{} // release references; the array is long-lived
-	b.head++
-	if !e.slackLogged(&ev) {
-		e.slack0--
-	}
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-		e.nextValid = false
-	}
-	return ev
 }
 
 // stopPollEvents is the cancellation poll interval of the serial run
@@ -600,8 +589,31 @@ func (e *Engine) Step() bool {
 	if e.cnt == 0 {
 		return false
 	}
-	ev := e.pop()
-	ev.fire()
+	t, _ := e.peek()
+	e.cnt--
+	if t != e.now {
+		e.now = t
+		e.migrate()
+	}
+	b := &e.buckets[t&calMask]
+	s := b.ev[b.head]
+	b.head++
+	if b.head == len(b.ev) {
+		b.ev = b.ev[:0]
+		b.head = 0
+		e.nextValid = false
+	}
+	ev := &e.slab[s]
+	if !e.slackLogged(ev) {
+		e.slack0--
+	}
+	// Copy the dispatch words out and free the slot before firing: the
+	// handler may schedule and so grow (move) the slab, and clearing the
+	// reference words lets the fired message be collected.
+	a, op, arg, data := ev.actor, ev.op, ev.arg, ev.data
+	ev.actor, ev.data = nil, nil
+	e.free = append(e.free, s)
+	a.OnEvent(op, arg, data)
 	return true
 }
 

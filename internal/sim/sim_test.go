@@ -266,6 +266,59 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramPercentileNearestRank pins the nearest-rank definition:
+// Percentile(p) is the upper edge of the bucket holding sample number
+// ceil(p*n/100), at least 1, in sorted order; Max is the exact largest
+// sample.
+func TestHistogramPercentileNearestRank(t *testing.T) {
+	// Samples 1, 2, 4, ..., 512 put rank r in bucket r-1, upper edge
+	// 2^r - 1, so every rank reads differently.
+	var pow Histogram
+	for i := 0; i < 10; i++ {
+		pow.Observe(1 << i)
+	}
+	// Nine 1s and one 1000: the nearest-rank p95 is the 1000 sample.
+	var tail Histogram
+	for i := 0; i < 9; i++ {
+		tail.Observe(1)
+	}
+	tail.Observe(1000)
+	// Seven 1s under ninety-three 1000s: rank 7 is a 1, rank 8 a 1000,
+	// and p=7 must give rank 7 although 7/100*100 is 7.000000000000001.
+	var seven Histogram
+	for i := 0; i < 100; i++ {
+		v := uint64(1000)
+		if i < 7 {
+			v = 1
+		}
+		seven.Observe(v)
+	}
+	for _, c := range []struct {
+		name string
+		h    *Histogram
+		p    float64
+		want uint64
+	}{
+		{"pow2", &pow, 0, 1},
+		{"pow2", &pow, 50, 31},
+		{"pow2", &pow, 70, 127},
+		{"pow2", &pow, 90, 511},
+		{"pow2", &pow, 95, 1023},
+		{"pow2", &pow, 100, 1023},
+		{"tail", &tail, 90, 1},
+		{"tail", &tail, 95, 1023},
+		{"seven", &seven, 7, 1},
+		{"seven", &seven, 8, 1023},
+	} {
+		if got := c.h.Percentile(c.p); got != c.want {
+			t.Errorf("%s: Percentile(%v) = %d, want %d", c.name, c.p, got, c.want)
+		}
+	}
+	if tail.Max() != 1000 {
+		t.Errorf("tail: Max() = %d, want 1000", tail.Max())
+	}
+}
+
 func TestBlockProfileCDF(t *testing.T) {
 	b := NewBlockProfile()
 	// 10 blocks: block 0 has 91 misses/91 ctocs, others 1/1 each.
@@ -298,6 +351,42 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run(0)
+}
+
+// chainActor reschedules every event it fires, the way a message hops
+// through the model: AtEvent with the same pointer data word, 0-8
+// cycles out, and one hop in 64 beyond calWindow (a timeout that waits
+// in the far heap and then migrates into the ring).
+type chainActor struct {
+	e    *Engine
+	hops uint64
+}
+
+func (c *chainActor) OnEvent(op int, arg uint64, data any) {
+	c.hops++
+	d := Cycle(c.hops % 9)
+	if c.hops%64 == 0 {
+		d += calWindow
+	}
+	c.e.AtEvent(c.e.Now()+d, c, op, arg, data)
+}
+
+// BenchmarkEngineActorEvents times the scheduling path the model's
+// components use (AtEvent with a pointer data word), one scheduled and
+// fired event per op over 256 message chains, once the slab, buckets
+// and far heap are warm.
+func BenchmarkEngineActorEvents(b *testing.B) {
+	type msg struct{ id int }
+	e := NewEngine()
+	c := &chainActor{e: e}
+	for i := 0; i < 256; i++ {
+		e.AtEvent(Cycle(i%9), c, i, uint64(i), &msg{i})
+	}
+	e.Run(1 << 18)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
 
 func TestEngineDrainDoesNotJumpClock(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -73,13 +74,18 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.acc.Count }
 
+// Max returns the largest sample observed (0 when empty).
+func (h *Histogram) Max() uint64 { return h.acc.Max }
+
 // Percentile returns an upper bound on the p-th percentile (p in
-// [0,100]) using bucket upper edges.
+// [0,100]): the upper edge of the bucket holding the nearest-rank
+// sample, number ceil(p*n/100) (at least 1) in sorted order. p*n is
+// formed before dividing so an integer p gives an exact rank.
 func (h *Histogram) Percentile(p float64) uint64 {
 	if h.acc.Count == 0 {
 		return 0
 	}
-	target := uint64(p / 100 * float64(h.acc.Count))
+	target := uint64(math.Ceil(p * float64(h.acc.Count) / 100))
 	if target == 0 {
 		target = 1
 	}

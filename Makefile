@@ -1,15 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
 # The default gate: compile, formatting, static checks (go vet plus
 # the repo's own dresar-lint analyzers), tests, the repository
-# benchmark's own tests, the race detector (the fault-injection and
-# watchdog paths are concurrency-sensitive by construction), and a
-# short run of the coverage-guided fuzzers.
-check: build fmt vet lint test bench-test test-race fuzz-short
+# benchmark's own tests, one iteration of every package benchmark, the
+# race detector (the fault-injection and watchdog paths are
+# concurrency-sensitive by construction), and a short run of the
+# coverage-guided fuzzers.
+check: build fmt vet lint test bench-test bench-smoke test-race fuzz-short
 
 build:
 	go build ./...
@@ -50,6 +51,12 @@ test:
 # workload).
 bench-test:
 	cd bench && go vet ./... && go test ./...
+
+# One iteration of every benchmark under internal/ (about 8 s on 2
+# vCPUs): a benchmark that reaches into a data layout breaks when the
+# layout changes, and nothing else runs the package benchmarks.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # The fast race pass skips the serial-vs-sharded differential suite
 # (the single longest race run); test-race-sharded carries it.

@@ -21,7 +21,9 @@
 // parallel engine (cycle-identical statistics at any worker count;
 // see DESIGN.md "Parallel execution model"); 0 or 1 runs it serially.
 // Incompatible with -faults/-net-faults/-watchdog (serial-only
-// features). -cpuprofile/-memprofile write pprof profiles, and
+// features). -cpuprofile/-memprofile write pprof profiles (the heap
+// profile is taken when the run ends, with the machine still live, so
+// `go tool pprof -sample_index=inuse_space` shows what it retains), and
 // -exectrace writes a runtime/trace execution trace — `go tool trace`
 // on it shows per-shard goroutine timelines, barrier stalls, and shard
 // imbalance directly (see EXPERIMENTS.md).
@@ -78,7 +80,7 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial)")
 	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count (0 or 1 = serial, >1 = parallel engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file at the end of the run: the in-use heap while the machine is still live, and all allocations")
 	exectrace := flag.String("exectrace", "", "write a runtime/trace execution trace to this file (inspect with `go tool trace`)")
 	flag.Parse()
 
@@ -97,18 +99,11 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			fail(err)
-			runtime.GC()
-			fail(pprof.WriteHeapProfile(f))
-			f.Close()
-		}()
-	}
-
 	if *sweep {
 		runSweep(*scale, *workers)
+		if *memprofile != "" {
+			writeHeapProfile(*memprofile, nil)
+		}
 		return
 	}
 
@@ -182,6 +177,9 @@ func main() {
 	d, err := workload.NewDriver(m, w)
 	fail(err)
 	s, err := d.Run()
+	if *memprofile != "" {
+		writeHeapProfile(*memprofile, m)
+	}
 	var unroutable *xbar.UnroutableError
 	if errors.As(err, &unroutable) {
 		// The surviving fabric cannot reach some endpoint: report the
@@ -253,6 +251,18 @@ func runSweep(scale string, workers int) {
 	fmt.Print(figures.Fig10(sweep))
 	fmt.Println()
 	fmt.Print(figures.Fig11(sweep))
+}
+
+// writeHeapProfile writes a heap profile to path after a forced GC,
+// while live is still reachable, so the profile's inuse_space shows
+// what the run retains (the machine) beside its allocations.
+func writeHeapProfile(path string, live any) {
+	f, err := os.Create(path)
+	fail(err)
+	runtime.GC()
+	fail(pprof.WriteHeapProfile(f))
+	runtime.KeepAlive(live)
+	fail(f.Close())
 }
 
 func maxu(a, b uint64) uint64 {

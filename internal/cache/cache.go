@@ -38,14 +38,6 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one cache line.
-type Line struct {
-	Tag   uint64
-	State State
-	Data  uint64 // block version
-	lru   uint64 // larger = more recently used
-}
-
 // Config sizes one cache level.
 type Config struct {
 	SizeBytes    int
@@ -62,41 +54,47 @@ type Stats struct {
 	DirtyEvic uint64 // replacements that produced a writeback
 }
 
-// Cache is one set-associative cache level. All sets live in one flat
-// backing array (set s occupies lines[s*ways : (s+1)*ways]): lookups
-// are the hottest operation in the whole simulator, and the flat
-// layout turns the per-access set fetch into pure index arithmetic on
-// one cache-friendly allocation instead of a pointer chase through a
-// slice of per-set slices.
+// Cache is one set-associative cache level. Each line is 18 bytes in
+// four flat per-line arrays (set s occupies indices [s*ways,
+// (s+1)*ways) of each), with no pointers and no per-set allocation:
+// lookups are the hottest operation in the whole simulator, and a
+// 1024-node machine holds 4.7M lines.
 //
-// tags mirrors lines[i].Tag in a dense parallel array, with invalid
-// ways holding noTag, so find scans 8 bytes per way (a whole 4-way set
-// fits in one host cache line) and needs no State load: a single
-// uint64 compare decides presence. Every site that changes a way's
-// tag or validity must keep the mirror in sync.
+// tags holds each way's tag, with invalid ways holding noTag, so find
+// scans 8 bytes per way (a whole 4-way set fits in one host cache
+// line) and needs no State load: a single uint64 compare decides
+// presence. Every site that changes a way's tag or validity must keep
+// tags and state in sync.
+//
+// rank orders a set's ways by last use: the ranks of a set are always
+// a permutation of 0..ways-1, and ways-1 is the most recently used.
+// Replacement takes the first Invalid way, else the lowest rank.
 type Cache struct {
 	cfg   Config
-	lines []Line
 	tags  []uint64
+	data  []uint64 // block version
+	state []State
+	rank  []uint8
 	ways  uint64
 	shift uint // log2(block)
 	mask  uint64
-	clock uint64
 	Stats Stats
 }
 
-// noTag marks an invalid way in the tags mirror. Real tags are
-// addr>>shift with shift >= 1, so all-ones is unreachable for any
-// address below 2^63.
+// noTag marks an invalid way in tags. Real tags are addr>>shift with
+// shift >= 1, so all-ones is unreachable for any address below 2^63.
 const noTag = ^uint64(0)
+
+// maxWays is the largest associativity a rank byte can order.
+const maxWays = 256
 
 // New builds a cache from cfg, validating geometry.
 func New(cfg Config) (*Cache, error) {
 	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size %d not a power of two", cfg.BlockBytes)
 	}
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache: ways %d must be positive", cfg.Ways)
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
+		return nil, fmt.Errorf("cache: ways %d not in [1, %d]", cfg.Ways, maxWays)
 	}
 	nlines := cfg.SizeBytes / cfg.BlockBytes
 	if nlines <= 0 || nlines%cfg.Ways != 0 {
@@ -106,9 +104,15 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
 	}
-	c := &Cache{cfg: cfg, lines: make([]Line, nlines), tags: make([]uint64, nlines), ways: uint64(cfg.Ways)}
+	c := &Cache{cfg: cfg, tags: make([]uint64, nlines), data: make([]uint64, nlines),
+		state: make([]State, nlines), rank: make([]uint8, nlines), ways: uint64(cfg.Ways)}
 	for i := range c.tags {
 		c.tags[i] = noTag
+	}
+	for base := 0; base < nlines; base += cfg.Ways {
+		for w := 0; w < cfg.Ways; w++ {
+			c.rank[base+w] = uint8(w)
+		}
 	}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.shift++
@@ -137,47 +141,58 @@ func (c *Cache) BlockAlign(addr uint64) uint64 {
 func (c *Cache) setIdx(addr uint64) uint64 { return (addr >> c.shift) & c.mask }
 func (c *Cache) tag(addr uint64) uint64    { return addr >> c.shift }
 
-// set returns the ways of addr's set as a slice of the flat array.
-func (c *Cache) set(addr uint64) []Line {
-	base := c.setIdx(addr) * c.ways
-	return c.lines[base : base+c.ways]
-}
-
-// find returns the way holding addr, or nil. It scans the dense tags
-// mirror (invalid ways hold noTag), the simulator's hottest loop.
-func (c *Cache) find(addr uint64) *Line {
+// find returns the flat index of the way holding addr, or -1. It
+// scans the dense tags array (invalid ways hold noTag), the
+// simulator's hottest loop.
+func (c *Cache) find(addr uint64) int {
 	base := c.setIdx(addr) * c.ways
 	tg := c.tag(addr)
 	tags := c.tags[base : base+c.ways]
-	for i := range tags {
-		if tags[i] == tg {
-			return &c.lines[base+uint64(i)]
+	for w := range tags {
+		if tags[w] == tg {
+			return int(base) + w
 		}
 	}
-	return nil
+	return -1
+}
+
+// touch makes line i, of the set whose first line is base, the set's
+// most recently used way: it takes rank ways-1 and every way ranked
+// above it drops one. A touch of the most recent way writes nothing.
+func (c *Cache) touch(base uint64, i int) {
+	r, top := c.rank[i], uint8(c.ways-1)
+	if r == top {
+		return
+	}
+	ranks := c.rank[base : base+c.ways]
+	for w, rw := range ranks {
+		if rw > r {
+			ranks[w] = rw - 1
+		}
+	}
+	c.rank[i] = top
 }
 
 // Probe returns the line state without updating LRU or stats; Invalid
 // means not present.
 func (c *Cache) Probe(addr uint64) (State, uint64) {
-	if l := c.find(addr); l != nil {
-		return l.State, l.Data
+	if i := c.find(addr); i >= 0 {
+		return c.state[i], c.data[i]
 	}
 	return Invalid, 0
 }
 
 // Access looks up addr, updating LRU and hit/miss statistics. It
-// returns the line if present.
-func (c *Cache) Access(addr uint64) *Line {
-	l := c.find(addr)
-	if l == nil {
+// returns the line's state and version; Invalid means a miss.
+func (c *Cache) Access(addr uint64) (State, uint64) {
+	i := c.find(addr)
+	if i < 0 {
 		c.Stats.Misses++
-		return nil
+		return Invalid, 0
 	}
-	c.clock++
-	l.lru = c.clock
+	c.touch(c.setIdx(addr)*c.ways, i)
 	c.Stats.Hits++
-	return l
+	return c.state[i], c.data[i]
 }
 
 // Victim describes a line displaced by Insert.
@@ -194,60 +209,53 @@ func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	if l := c.find(addr); l != nil {
-		c.clock++
-		l.State, l.Data, l.lru = st, data, c.clock
+	base := c.setIdx(addr) * c.ways
+	if i := c.find(addr); i >= 0 {
+		c.state[i], c.data[i] = st, data
+		c.touch(base, i)
 		return Victim{}, false
 	}
-	set := c.set(addr)
-	vi := 0
-	for i := range set {
-		if set[i].State == Invalid {
-			vi = i
+	i := int(base)
+	for w := i; w < int(base+c.ways); w++ {
+		if c.state[w] == Invalid {
+			i = w
 			break
 		}
-		if set[i].lru < set[vi].lru {
-			vi = i
+		if c.rank[w] < c.rank[i] {
+			i = w
 		}
 	}
-	victim := &set[vi]
 	var out Victim
-	had := victim.State != Invalid
+	had := c.state[i] != Invalid
 	if had {
 		c.Stats.Evictions++
-		if victim.State == Modified {
+		if c.state[i] == Modified {
 			c.Stats.DirtyEvic++
 		}
-		out = Victim{Addr: victim.Tag << c.shift, State: victim.State, Data: victim.Data}
+		out = Victim{Addr: c.tags[i] << c.shift, State: c.state[i], Data: c.data[i]}
 	}
-	c.clock++
-	*victim = Line{Tag: c.tag(addr), State: st, Data: data, lru: c.clock}
-	c.tags[c.setIdx(addr)*c.ways+uint64(vi)] = c.tag(addr)
+	c.tags[i], c.state[i], c.data[i] = c.tag(addr), st, data
+	c.touch(base, i)
 	return out, had
 }
 
 // Invalidate removes addr; it reports whether the line was present and
 // returns its prior state and data (so dirty data can be forwarded).
 func (c *Cache) Invalidate(addr uint64) (State, uint64, bool) {
-	base := c.setIdx(addr) * c.ways
-	tg := c.tag(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tg {
-			l := &c.lines[i]
-			st, d := l.State, l.Data
-			l.State = Invalid
-			c.tags[i] = noTag
-			return st, d, true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return Invalid, 0, false
 	}
-	return Invalid, 0, false
+	st := c.state[i]
+	c.state[i], c.tags[i] = Invalid, noTag
+	return st, c.data[i], true
 }
 
 // Downgrade moves a Modified line to Shared (after a CtoC read); it
 // reports whether the line was present in M.
 func (c *Cache) Downgrade(addr uint64) bool {
-	if l := c.find(addr); l != nil && l.State == Modified {
-		l.State = Shared
+	if i := c.find(addr); i >= 0 && c.state[i] == Modified {
+		c.state[i] = Shared
 		return true
 	}
 	return false
@@ -255,8 +263,8 @@ func (c *Cache) Downgrade(addr uint64) bool {
 
 // SetData overwrites the version of a present line (a store hit).
 func (c *Cache) SetData(addr uint64, data uint64) bool {
-	if l := c.find(addr); l != nil {
-		l.Data = data
+	if i := c.find(addr); i >= 0 {
+		c.data[i] = data
 		return true
 	}
 	return false
@@ -264,9 +272,9 @@ func (c *Cache) SetData(addr uint64, data uint64) bool {
 
 // Lines calls fn for every valid line; used by invariant checks.
 func (c *Cache) Lines(fn func(addr uint64, st State, data uint64)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(c.lines[i].Tag<<c.shift, c.lines[i].State, c.lines[i].Data)
+	for i, st := range c.state {
+		if st != Invalid {
+			fn(c.tags[i]<<c.shift, st, c.data[i])
 		}
 	}
 }

@@ -16,8 +16,9 @@ func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 1024, Ways: 2, BlockBytes: 33},
 		{SizeBytes: 1024, Ways: 0, BlockBytes: 32},
-		{SizeBytes: 1024, Ways: 3, BlockBytes: 32}, // 32 lines not divisible by 3... 32/3 no
-		{SizeBytes: 96, Ways: 1, BlockBytes: 32},   // 3 sets, not power of two
+		{SizeBytes: 1024, Ways: 3, BlockBytes: 32},       // 32 lines not divisible by 3... 32/3 no
+		{SizeBytes: 96, Ways: 1, BlockBytes: 32},         // 3 sets, not power of two
+		{SizeBytes: 512 * 32, Ways: 512, BlockBytes: 32}, // more ways than a rank byte orders
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
@@ -31,19 +32,19 @@ func TestNewValidation(t *testing.T) {
 
 func TestInsertLookupInvalidate(t *testing.T) {
 	c := MustNew(cfg16k())
-	if l := c.Access(0x1000); l != nil {
+	if st, _ := c.Access(0x1000); st != Invalid {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(0x1000, Shared, 7)
-	l := c.Access(0x1003) // same block, different offset
-	if l == nil || l.State != Shared || l.Data != 7 {
-		t.Fatalf("lookup after insert: %+v", l)
+	st, d := c.Access(0x1003) // same block, different offset
+	if st != Shared || d != 7 {
+		t.Fatalf("lookup after insert: %v %d", st, d)
 	}
 	st, d, ok := c.Invalidate(0x1000)
 	if !ok || st != Shared || d != 7 {
 		t.Fatalf("invalidate = %v %d %v", st, d, ok)
 	}
-	if l := c.Access(0x1000); l != nil {
+	if st, _ := c.Access(0x1000); st != Invalid {
 		t.Fatal("hit after invalidate")
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 2 {
@@ -314,15 +315,44 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// BenchmarkCacheAccess times L2 hits at the two ends of a set's
+// recency order. lru cycles through a full cache in fill order, so
+// every access hits its set's least recently used way and re-ranks the
+// whole set; mru repeats one block per set, so every access hits the
+// most recent way and writes nothing. hierarchy-read reads each of
+// 1024 blocks (twice the L1, an eighth of the L2) twice in a row: an
+// L2 hit that refills the L1, then an L1 hit.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := MustNew(cfg128k())
-	for i := 0; i < 4096; i++ {
-		c.Insert(uint64(i)*32, Shared, uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i%4096) * 32)
-	}
+	b.Run("lru", func(b *testing.B) {
+		c := MustNew(cfg128k())
+		for i := 0; i < 4096; i++ {
+			c.Insert(uint64(i)*32, Shared, uint64(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%4096) * 32)
+		}
+	})
+	b.Run("mru", func(b *testing.B) {
+		c := MustNew(cfg128k())
+		for i := 0; i < 4096; i++ {
+			c.Insert(uint64(i)*32, Shared, uint64(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(3072+i%1024) * 32)
+		}
+	})
+	b.Run("hierarchy-read", func(b *testing.B) {
+		h := MustNewHierarchy(cfg16k(), cfg128k())
+		for i := 0; i < 1024; i++ {
+			h.Fill(uint64(i)*32, Shared, uint64(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Read(uint64(i/2%1024) * 32)
+		}
+	})
 }
 
 func TestHierarchyRefresh(t *testing.T) {

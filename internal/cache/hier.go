@@ -53,12 +53,12 @@ type LookupResult struct {
 // to inclusion: the L2 copy is current because stores write through to
 // the L2 version field).
 func (h *Hierarchy) Read(addr uint64) LookupResult {
-	if l := h.L1.Access(addr); l != nil {
-		return LookupResult{State: l.State, Data: l.Data, Cycles: h.L1.AccessCycles(), HitL1: true}
+	if st, d := h.L1.Access(addr); st != Invalid {
+		return LookupResult{State: st, Data: d, Cycles: h.L1.AccessCycles(), HitL1: true}
 	}
-	if l := h.L2.Access(addr); l != nil {
-		h.L1.Insert(addr, l.State, l.Data)
-		return LookupResult{State: l.State, Data: l.Data, Cycles: h.L1.AccessCycles() + h.L2.AccessCycles(), HitL2: true}
+	if st, d := h.L2.Access(addr); st != Invalid {
+		h.L1.Insert(addr, st, d)
+		return LookupResult{State: st, Data: d, Cycles: h.L1.AccessCycles() + h.L2.AccessCycles(), HitL2: true}
 	}
 	return LookupResult{State: Invalid, Cycles: h.L1.AccessCycles() + h.L2.AccessCycles()}
 }

@@ -161,20 +161,36 @@ func (s *Stats) add(o *Stats) {
 	s.HomeFallbacks += o.HomeFallbacks
 }
 
-// entry is one directory line.
+// entry is one directory line: 16 bytes and no pointers, so a
+// switch's slab is one allocation the garbage collector never scans.
+// Node IDs are 16 bits wide (New rejects larger machines).
 type entry struct {
-	tag    uint64
-	state  EntryState
-	owner  int
-	reqVec mesg.NodeSet // intercepted requesters (first + bit-vector policy)
-	lru    uint64
+	tag   uint64 // block address
+	owner uint16 // dirty owner (MODIFIED, TRANSIENT)
+	state EntryState
+	rank  uint8  // LRU rank in the set; ways-1 is the most recent
+	first uint16 // first intercepted requester (TRANSIENT)
 }
 
-// dir is one switch's directory instance.
+// maxWays is the largest associativity a rank byte can order, and
+// maxNodes the largest machine a 16-bit node ID can name.
+const (
+	maxWays  = 256
+	maxNodes = 1 << 16
+)
+
+// dir is one switch's directory instance. Set s occupies
+// slab[s*ways : (s+1)*ways], and each set's ranks are a permutation
+// of 0..ways-1 ordered by last use.
 type dir struct {
-	sets  [][]entry
-	nsets uint64
-	clock uint64
+	slab []entry
+	ways uint64
+	mask uint64 // set count - 1
+
+	// extra holds, by block address, the requesters a TRANSIENT entry
+	// intercepted after its first (PolicyBitVector only); nil until
+	// the first such requester.
+	extra map[uint64]mesg.NodeSet
 
 	// port accounting: snoops already charged in the current cycle.
 	portCycle sim.Cycle
@@ -222,8 +238,11 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	if cfg.Entries == 0 {
 		return nil, fmt.Errorf("sdir: zero entries; omit the snooper instead")
 	}
-	if cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		return nil, fmt.Errorf("sdir: %d entries not divisible into %d ways", cfg.Entries, cfg.Ways)
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Entries%cfg.Ways != 0 {
+		return nil, fmt.Errorf("sdir: %d entries not divisible into %d ways (at most %d)", cfg.Entries, cfg.Ways, maxWays)
+	}
+	if tp.Nodes > maxNodes {
+		return nil, fmt.Errorf("sdir: %d nodes exceed the %d a 16-bit entry field can name", tp.Nodes, maxNodes)
 	}
 	nsets := cfg.Entries / cfg.Ways
 	if nsets&(nsets-1) != 0 {
@@ -235,9 +254,9 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]*dir, tp.NumSwitches()),
 		disabled: make([]bool, tp.NumSwitches()), failed: make([]bool, tp.NumSwitches())}
 	for i := range f.dirs {
-		d := &dir{sets: make([][]entry, nsets), nsets: uint64(nsets)}
-		for s := range d.sets {
-			d.sets[s] = make([]entry, cfg.Ways)
+		d := &dir{slab: make([]entry, cfg.Entries), ways: uint64(cfg.Ways), mask: uint64(nsets - 1)}
+		for j := range d.slab {
+			d.slab[j].rank = uint8(j % cfg.Ways)
 		}
 		f.dirs[i] = d
 	}
@@ -260,7 +279,37 @@ func (f *Fabric) active(sw topo.SwitchID) bool {
 	return f.cfg.StageMask&(1<<uint(sw.Stage)) != 0
 }
 
-func (d *dir) set(addr uint64) []entry { return d.sets[(addr>>5)%d.nsets] }
+func (d *dir) set(addr uint64) []entry {
+	base := ((addr >> 5) & d.mask) * d.ways
+	return d.slab[base : base+d.ways]
+}
+
+// touch makes e the most recently used way of its set: e takes rank
+// ways-1 and every way ranked above it drops one.
+func touch(set []entry, e *entry) {
+	r, top := e.rank, uint8(len(set)-1)
+	if r == top {
+		return
+	}
+	for i := range set {
+		if set[i].rank > r {
+			set[i].rank--
+		}
+	}
+	e.rank = top
+}
+
+// waiters lists a TRANSIENT entry's intercepted requesters in
+// ascending order: the first plus any in the side table.
+func (d *dir) waiters(e *entry) []int {
+	extra, ok := d.extra[e.tag]
+	if !ok {
+		return []int{int(e.first)}
+	}
+	all := mesg.NodeSetOf(int(e.first))
+	all.Or(extra)
+	return mesg.SharerList(all)
+}
 
 func (d *dir) find(addr uint64) *entry {
 	set := d.set(addr)
@@ -376,8 +425,8 @@ func (f *Fabric) insert(d *dir, m *mesg.Message) {
 			d.stats.InsertBlocked++
 			return
 		}
-		d.clock++
-		e.state, e.owner, e.reqVec, e.lru = Mod, m.Requester, mesg.NodeSet{}, d.clock
+		e.state, e.owner = Mod, uint16(m.Requester)
+		touch(d.set(m.Addr), e)
 		return
 	}
 	set := d.set(m.Addr)
@@ -390,7 +439,7 @@ func (f *Fabric) insert(d *dir, m *mesg.Message) {
 		if set[i].state == Trans {
 			continue // never evict TRANSIENT
 		}
-		if victim == nil || set[i].lru < victim.lru {
+		if victim == nil || set[i].rank < victim.rank {
 			victim = &set[i]
 		}
 	}
@@ -401,8 +450,8 @@ func (f *Fabric) insert(d *dir, m *mesg.Message) {
 	if victim.state != Inv {
 		d.stats.Evictions++
 	}
-	d.clock++
-	*victim = entry{tag: m.Addr, state: Mod, owner: m.Requester, lru: d.clock}
+	victim.tag, victim.state, victim.owner = m.Addr, Mod, uint16(m.Requester)
+	touch(set, victim)
 	d.stats.Inserts++
 }
 
@@ -428,24 +477,26 @@ func (f *Fabric) readReq(d *dir, sw topo.SwitchID, m *mesg.Message) xbar.Action 
 		} else {
 			d.stats.TopHits++
 		}
-		d.clock++
-		e.state = Trans
-		e.reqVec = mesg.NodeSetOf(m.Requester)
-		e.lru = d.clock
+		touch(d.set(m.Addr), e)
+		e.state, e.first = Trans, uint16(m.Requester)
 		d.pendingCount++
 		return xbar.Action{
 			Sink: true,
 			Generated: []*mesg.Message{{
-				Kind: mesg.CtoCReq, Addr: m.Addr, Src: m.Src, Dst: mesg.P(e.owner),
-				Requester: m.Requester, Owner: e.owner, Marked: true, Issued: m.Issued,
+				Kind: mesg.CtoCReq, Addr: m.Addr, Src: m.Src, Dst: mesg.P(int(e.owner)),
+				Requester: m.Requester, Owner: int(e.owner), Marked: true, Issued: m.Issued,
 			}},
 		}
 	case Trans:
 		d.stats.TransientHits++
 		if f.cfg.Policy == PolicyBitVector {
-			if !e.reqVec.Has(m.Requester) {
+			if p, extra := m.Requester, d.extra[e.tag]; p != int(e.first) && !extra.Has(p) {
 				d.stats.BitVectorAdds++
-				e.reqVec.Add(m.Requester)
+				extra.Add(p)
+				if d.extra == nil {
+					d.extra = make(map[uint64]mesg.NodeSet)
+				}
+				d.extra[e.tag] = extra
 			}
 			return xbar.Action{Sink: true}
 		}
@@ -523,11 +574,11 @@ func (f *Fabric) ctocReq(d *dir, m *mesg.Message) xbar.Action {
 
 // release clears a TRANSIENT entry's tracking.
 func (d *dir) release(e *entry) {
-	if e.state == Trans && d.pendingCount > 0 {
+	if e.state == Trans {
 		d.pendingCount--
+		delete(d.extra, e.tag)
 	}
 	e.state = Inv
-	e.reqVec.Clear()
 }
 
 // copyBack observes the data returning home. A TRANSIENT entry's
@@ -546,7 +597,7 @@ func (f *Fabric) copyBack(d *dir, m *mesg.Message) xbar.Action {
 		// are stale too.
 		var gen []*mesg.Message
 		if e.state == Trans {
-			for _, p := range mesg.SharerList(e.reqVec) {
+			for _, p := range d.waiters(e) {
 				d.stats.RetriesSent++
 				gen = append(gen, &mesg.Message{
 					Kind: mesg.Retry, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
@@ -562,7 +613,7 @@ func (f *Fabric) copyBack(d *dir, m *mesg.Message) xbar.Action {
 	var gen []*mesg.Message
 	if e.state == Trans {
 		first := m.Requester
-		for _, p := range mesg.SharerList(e.reqVec) {
+		for _, p := range d.waiters(e) {
 			if p == first {
 				continue // served by the owner's CtoC reply
 			}
@@ -600,8 +651,7 @@ func (f *Fabric) writeBack(d *dir, m *mesg.Message) xbar.Action {
 	}
 	var gen []*mesg.Message
 	if e.state == Trans {
-		reqs := mesg.SharerList(e.reqVec)
-		for i, p := range reqs {
+		for i, p := range d.waiters(e) {
 			d.stats.ServedFromWB++
 			if i == 0 {
 				m.Marked = true
@@ -629,7 +679,7 @@ func (f *Fabric) retry(d *dir, m *mesg.Message) xbar.Action {
 		return xbar.Action{}
 	}
 	var gen []*mesg.Message
-	for _, p := range mesg.SharerList(e.reqVec) {
+	for _, p := range d.waiters(e) {
 		if p == m.Requester {
 			continue
 		}
@@ -655,10 +705,15 @@ func (f *Fabric) TotalStats() Stats {
 // Lookup exposes a switch's entry state for tests and invariants.
 func (f *Fabric) Lookup(sw topo.SwitchID, addr uint64) (EntryState, int, mesg.NodeSet) {
 	d := f.dirs[f.tp.SwitchOrdinal(sw)]
-	if e := d.find(addr); e != nil {
-		return e.state, e.owner, e.reqVec
+	e := d.find(addr)
+	if e == nil {
+		return Inv, 0, mesg.NodeSet{}
 	}
-	return Inv, 0, mesg.NodeSet{}
+	var vec mesg.NodeSet
+	if e.state == Trans {
+		vec = mesg.NodeSetOf(d.waiters(e)...)
+	}
+	return e.state, int(e.owner), vec
 }
 
 // DisableOrdinal flags the directory of the switch with ordinal i
@@ -671,12 +726,10 @@ func (f *Fabric) DisableOrdinal(i int) {
 		return
 	}
 	f.disabled[i] = true
-	for _, set := range f.dirs[i].sets {
-		for w := range set {
-			if set[w].state == Mod {
-				set[w].state = Inv
-				set[w].reqVec.Clear()
-			}
+	slab := f.dirs[i].slab
+	for j := range slab {
+		if slab[j].state == Mod {
+			slab[j].state = Inv
 		}
 	}
 }
@@ -700,21 +753,19 @@ func (f *Fabric) FailOrdinal(i int) {
 	f.failed[i] = true
 	f.disabled[i] = true
 	d := f.dirs[i]
-	for _, set := range d.sets {
-		for w := range set {
-			e := &set[w]
-			if e.state == Inv {
-				continue
-			}
-			d.stats.EntriesLost++
-			if e.state == Trans {
-				d.stats.PendingLost++
-				d.stats.HomeFallbacks += uint64(e.reqVec.Count())
-			}
-			e.state = Inv
-			e.reqVec.Clear()
+	for j := range d.slab {
+		e := &d.slab[j]
+		if e.state == Inv {
+			continue
 		}
+		d.stats.EntriesLost++
+		if e.state == Trans {
+			d.stats.PendingLost++
+			d.stats.HomeFallbacks += uint64(len(d.waiters(e)))
+		}
+		e.state = Inv
 	}
+	d.extra = nil
 	d.pendingCount = 0
 }
 
@@ -747,23 +798,25 @@ func (f *Fabric) DisabledCount() int {
 	return n
 }
 
-// modEntries collects every live MODIFIED entry across enabled
-// switches, in deterministic (ordinal, set, way) order.
-func (f *Fabric) modEntries() []*entry {
-	var out []*entry
+// modEntry walks the live MODIFIED entries across enabled switches in
+// deterministic (ordinal, set, way) order and returns the k-th, or nil
+// and their count when there are no more than k.
+func (f *Fabric) modEntry(k int) (*entry, int) {
+	n := 0
 	for i, d := range f.dirs {
 		if f.disabled[i] {
 			continue
 		}
-		for _, set := range d.sets {
-			for w := range set {
-				if set[w].state == Mod {
-					out = append(out, &set[w])
+		for j := range d.slab {
+			if d.slab[j].state == Mod {
+				if n == k {
+					return &d.slab[j], n
 				}
+				n++
 			}
 		}
 	}
-	return out
+	return nil, n
 }
 
 // CorruptRandom flips one pseudo-randomly chosen MODIFIED entry's
@@ -772,12 +825,12 @@ func (f *Fabric) modEntries() []*entry {
 // CtoC request at a non-owner, exercising the NoData-copyback
 // recovery path end to end. Reports whether an entry was corrupted.
 func (f *Fabric) CorruptRandom(rng *sim.RNG, nodes int) bool {
-	cands := f.modEntries()
-	if len(cands) == 0 || nodes < 2 {
+	_, n := f.modEntry(-1)
+	if n == 0 || nodes < 2 {
 		return false
 	}
-	e := cands[rng.Intn(len(cands))]
-	e.owner = (e.owner + 1 + rng.Intn(nodes-1)) % nodes
+	e, _ := f.modEntry(rng.Intn(n))
+	e.owner = uint16((int(e.owner) + 1 + rng.Intn(nodes-1)) % nodes)
 	return true
 }
 
@@ -786,26 +839,16 @@ func (f *Fabric) CorruptRandom(rng *sim.RNG, nodes int) bool {
 // next read falls through to the home. Reports whether an entry was
 // evicted.
 func (f *Fabric) EvictRandom(rng *sim.RNG) bool {
-	cands := f.modEntries()
-	if len(cands) == 0 {
+	_, n := f.modEntry(-1)
+	if n == 0 {
 		return false
 	}
-	e := cands[rng.Intn(len(cands))]
+	e, _ := f.modEntry(rng.Intn(n))
 	e.state = Inv
-	e.reqVec.Clear()
 	return true
 }
 
 // TransientCount reports resident TRANSIENT entries at a switch.
 func (f *Fabric) TransientCount(sw topo.SwitchID) int {
-	d := f.dirs[f.tp.SwitchOrdinal(sw)]
-	n := 0
-	for _, set := range d.sets {
-		for i := range set {
-			if set[i].state == Trans {
-				n++
-			}
-		}
-	}
-	return n
+	return f.dirs[f.tp.SwitchOrdinal(sw)].pendingCount
 }

@@ -38,6 +38,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(tp16, Config{Entries: 24, Ways: 4}); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
+	if _, err := New(tp16, Config{Entries: 512, Ways: 512}); err == nil {
+		t.Error("more ways than a rank byte orders accepted")
+	}
 	if _, err := New(tp16, DefaultConfig()); err != nil {
 		t.Error(err)
 	}
@@ -418,19 +421,26 @@ func TestPolicyAndStateStrings(t *testing.T) {
 	}
 }
 
+// BenchmarkSnoopHit measures one interception round through Snoop:
+// a write reply inserts ownership, a read hits the MODIFIED entry and
+// sinks into a marked CtoC request, and the copyback releases the
+// TRANSIENT entry. The rounds cycle over 64 blocks in distinct sets.
 func BenchmarkSnoopHit(b *testing.B) {
 	f := MustNew(tp16, DefaultConfig())
-	f.Snoop(top0(), wreply(0x40, 7), 0)
-	m := rreq(0x40, 3)
+	var wr, rr, cb [64]*mesg.Message
+	for k := range wr {
+		addr := uint64(k) * 32
+		wr[k], rr[k] = wreply(addr, 7), rreq(addr, 3)
+		cb[k] = &mesg.Message{Kind: mesg.CopyBack, Addr: addr, Src: mesg.P(7), Dst: mesg.M(0), Requester: 3, Marked: true}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Snoop(top0(), m, 0)
-		// Reset to MODIFIED for the next hit.
-		d := f.dirs[tp16.SwitchOrdinal(top0())]
-		if e := d.find(0x40); e != nil {
-			e.state = Mod
-			d.pendingCount = 0
+		k, now := i%64, sim.Cycle(i)
+		f.Snoop(top0(), wr[k], now)
+		if a := f.Snoop(top0(), rr[k], now+1); !a.Sink {
+			b.Fatal("read not intercepted")
 		}
+		f.Snoop(top0(), cb[k], now+2)
 	}
 }
 

@@ -368,7 +368,7 @@ func (s *Sim) step(rec trace.Rec) {
 // read services a load and returns its latency.
 func (s *Sim) read(p int, b uint64) uint64 {
 	c := s.caches[p]
-	if l := c.Access(b); l != nil {
+	if st, _ := c.Access(b); st != cache.Invalid {
 		s.Stats.ReadHits++
 		return s.cfg.CacheAccess
 	}

@@ -1,16 +1,17 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke figures-repeat bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
 # The default gate: compile, formatting, static checks (go vet plus
 # the repo's own dresar-lint analyzers), tests, the repository
-# benchmark's own tests, one iteration of every package benchmark, the
-# race detector (the fault-injection and watchdog paths are
+# benchmark's own tests, one iteration of every package benchmark, a
+# repeat run of Figure 2 that must reproduce its output byte for byte,
+# the race detector (the fault-injection and watchdog paths are
 # concurrency-sensitive by construction), and a short run of the
 # coverage-guided fuzzers.
-check: build fmt vet lint test bench-test bench-smoke test-race fuzz-short
+check: build fmt vet lint test bench-test bench-smoke figures-repeat test-race fuzz-short
 
 build:
 	go build ./...
@@ -57,6 +58,18 @@ bench-test:
 # layout changes, and nothing else runs the package benchmarks.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# Figure 2 twice from one build, text and CSV compared byte for byte
+# (about 2 s): a figure is a pure function of the simulated machine, so
+# any difference is nondeterminism in the simulator or the figure code
+# (for example, map iteration order reaching an output).
+figures-repeat:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	go build -o "$$d/figures" ./cmd/figures && \
+	"$$d/figures" -fig 2 -csv "$$d/a" > "$$d/a.txt" && \
+	"$$d/figures" -fig 2 -csv "$$d/b" > "$$d/b.txt" && \
+	cmp "$$d/a.txt" "$$d/b.txt" && cmp "$$d/a_fig2.csv" "$$d/b_fig2.csv" && \
+	echo "figures-repeat: Figure 2 text and CSV identical across two runs"
 
 # The fast race pass skips the serial-vs-sharded differential suite
 # (the single longest race run); test-race-sharded carries it.

@@ -333,7 +333,7 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 // runKernelHeap is runKernel plus a live-heap sample taken while the
 // machine is still reachable: after the run it forces a GC and reads
 // HeapAlloc, so the number is the retained simulator state (topology,
-// route caches, switch arrays, directories) rather than transient
+// switch arrays, caches, directories) rather than transient
 // garbage or the monotonic process maxrss. The scalability gate in
 // scripts/benchgate.sh asserts this grows sub-quadratically in nodes.
 func runKernelHeap(b *testing.B, cfg core.Config, w workload.Workload) (core.Stats, float64) {

@@ -292,9 +292,10 @@ func New(cfg Config) (*Machine, error) {
 		Profile: sim.NewBlockProfile(),
 	}
 	if workers > 1 {
-		// Routing is arithmetic over the immutable topology; each shard
-		// domain keeps its own hot-route cache (see xbar), so no global
-		// precomputation is needed before going concurrent.
+		// Routing is arithmetic over the immutable topology, and each
+		// in-flight message builds its route in its own buffer (see
+		// xbar), so there is no route state to share or precompute
+		// before going concurrent.
 		m.Sharded = sim.NewShardedEngine(workers, cfg.Net.Lookahead())
 		m.engs = m.Sharded.Engines()
 		m.Eng = m.engs[0]

@@ -7,24 +7,23 @@ import (
 	"dresar/internal/topo"
 )
 
-// Network composes flit-level switches into the two-stage BMIN,
-// wiring leaf up-ports to top down-ports per the topology. It exists
-// for cross-model validation against the message-granularity network
-// (package xbar): identical routes, flit-accurate pipelining. It
-// supports snoop-sinking but not message generation (validation only).
+// Network composes flit-level switches into the s-stage BMIN, wiring
+// each rank's up-ports to the next rank's down-ports per the topology.
+// It exists for cross-model validation against the message-granularity
+// network (package xbar): identical routes, flit-accurate pipelining.
+// It supports snoop-sinking but not message generation (validation
+// only).
 type Network struct {
 	tp       *topo.T
 	switches []*Switch
 	now      uint64
 
 	// routes maps message ID to its hop list; each switch looks its
-	// own hop up by ordinal.
-	routes map[uint64][]topo.Hop
-	// rc memoizes hot routes so steady-state Send stays allocation-
-	// free; the flit network is single-threaded, so one cache serves
-	// the whole fabric. Routes handed out are shared with the cache
-	// and never mutated.
-	rc *topo.RouteCache
+	// own hop up by ordinal. A delivered message's hop slice goes to
+	// hopFree, and Send appends the next route into it, so steady-state
+	// routing allocates nothing.
+	routes  map[uint64][]topo.Hop
+	hopFree [][]topo.Hop
 	// msgs keeps the message object until delivery (the head flit
 	// carries it through the switches; the network remembers it for
 	// reassembly).
@@ -154,7 +153,6 @@ func NewNetwork(tp *topo.T, cfg NetConfig) *Network {
 	n := &Network{
 		tp:       tp,
 		routes:   make(map[uint64][]topo.Hop),
-		rc:       topo.NewRouteCache(tp, 0),
 		msgs:     make(map[uint64]*mesg.Message),
 		injP:     make([]injState, tp.Nodes),
 		injM:     make([]injState, tp.Nodes),
@@ -191,14 +189,19 @@ func (n *Network) Send(m *mesg.Message) {
 		panic("flit: message needs an ID")
 	}
 	var hops []topo.Hop
+	if k := len(n.hopFree); k > 0 {
+		hops, n.hopFree = n.hopFree[k-1], n.hopFree[:k-1]
+	} else {
+		hops = make([]topo.Hop, 0, n.tp.MaxHops())
+	}
 	s, d := m.Src, m.Dst
 	switch {
 	case s.Side == mesg.ProcSide && d.Side == mesg.MemSide:
-		hops = n.rc.Forward(s.Node, d.Node)
+		hops = n.tp.AppendForward(hops, s.Node, d.Node)
 	case s.Side == mesg.MemSide && d.Side == mesg.ProcSide:
-		hops = n.rc.Backward(s.Node, d.Node)
+		hops = n.tp.AppendBackward(hops, s.Node, d.Node)
 	default:
-		hops = n.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
+		hops = n.tp.AppendTurnaround(hops, s.Node, d.Node, int(m.Addr>>5))
 	}
 	n.routes[m.ID] = hops
 	n.msgs[m.ID] = m
@@ -467,8 +470,10 @@ func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
 			delete(n.assembly, f.MsgID)
 			m := n.msgOf(f.MsgID, hops)
 			n.Stats.Delivered++
+			last := hops[idx]
 			delete(n.routes, f.MsgID)
-			n.deliver(m, hops[idx])
+			n.hopFree = append(n.hopFree, hops[:0])
+			n.deliver(m, last)
 		}
 		return
 	}

@@ -342,6 +342,40 @@ func TestBlockProfileCDF(t *testing.T) {
 	}
 }
 
+// TestBlockProfileCDFTotalOrder pins Figure 2's tie-break: blocks with
+// equal miss counts are taken in ascending address order, so their CtoC
+// counts enter the running sum in the same order whatever the map's
+// iteration order. The same counts added in two orders must give the
+// same, hand-computed, CDF.
+func TestBlockProfileCDFTotalOrder(t *testing.T) {
+	// Block: misses, CtoCs. Blocks 7, 3 and 5 tie at 4 misses with
+	// different CtoC counts; 9 and 2 tie at 1 miss.
+	counts := []struct{ key, d, s uint64 }{
+		{7, 4, 0}, {3, 4, 2}, {5, 4, 1}, {1, 6, 3}, {9, 1, 0}, {2, 1, 2},
+	}
+	// Sorted order: 1 (6/3), 3 (4/2), 5 (4/1), 7 (4/0), 2 (1/2), 9 (1/0).
+	// Totals: 20 misses, 8 CtoCs.
+	points := []float64{1.0 / 6, 2.0 / 6, 3.0 / 6, 4.0 / 6, 5.0 / 6, 1}
+	wantP := []float64{6.0 / 20, 10.0 / 20, 14.0 / 20, 18.0 / 20, 19.0 / 20, 1}
+	wantS := []float64{3.0 / 8, 5.0 / 8, 6.0 / 8, 6.0 / 8, 1, 1}
+	fwd, rev := NewBlockProfile(), NewBlockProfile()
+	for i := range counts {
+		c, r := counts[i], counts[len(counts)-1-i]
+		fwd.Add(c.key, c.d, c.s)
+		rev.Add(r.key, r.d, r.s)
+	}
+	for _, b := range []*BlockProfile{fwd, rev} {
+		for trial := 0; trial < 20; trial++ {
+			p, s := b.CDF(points)
+			for i := range points {
+				if p[i] != wantP[i] || s[i] != wantS[i] {
+					t.Fatalf("CDF at %v = (%v, %v), want (%v, %v)", points[i], p[i], s[i], wantP[i], wantS[i])
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {

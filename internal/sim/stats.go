@@ -164,17 +164,28 @@ func (b *BlockProfile) Totals() (primary, secondary uint64) {
 	return
 }
 
-// CDF sorts keys by descending primary count and returns cumulative
-// fractions of primary and secondary events at the given key-fraction
-// points (each in [0,1]). This is exactly Figure 2's construction:
-// blocks sorted by misses/block, cumulative % of misses and CtoCs.
+// CDF sorts keys by descending primary count, ties by ascending key,
+// and returns cumulative fractions of primary and secondary events at
+// the given key-fraction points (each in [0,1]). This is exactly Figure
+// 2's construction: blocks sorted by misses/block, cumulative % of
+// misses and CtoCs. The order is total, so blocks with equal miss
+// counts but different CtoC counts enter the secondary sums in the
+// same order on every run.
 func (b *BlockProfile) CDF(points []float64) (primary, secondary []float64) {
-	type kv struct{ c [2]uint64 }
-	all := make([]kv, 0, len(b.counts))
-	for _, c := range b.counts {
-		all = append(all, kv{c})
+	type kv struct {
+		key uint64
+		c   [2]uint64
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].c[0] > all[j].c[0] })
+	all := make([]kv, 0, len(b.counts))
+	for k, c := range b.counts {
+		all = append(all, kv{k, c})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].c[0] != all[j].c[0] {
+			return all[i].c[0] > all[j].c[0]
+		}
+		return all[i].key < all[j].key
+	})
 	totP, totS := b.Totals()
 	primary = make([]float64, len(points))
 	secondary = make([]float64, len(points))

@@ -21,9 +21,10 @@
 // Routing is arithmetic: a switch index is a mixed-radix number of
 // s-1 digits, and the move between rank i and rank i+1 replaces digit
 // i. A route is therefore computed in O(1) per hop from the endpoint
-// indices alone — no precomputed path tables, so route state no longer
-// grows as nodes². Hot paths are memoized by the bounded RouteCache
-// (routecache.go), which callers in the timed network own per shard.
+// indices alone — no precomputed path tables and no route cache. The
+// Append* forms write a route into a caller-owned buffer, so a caller
+// that reuses one buffer per in-flight message routes without
+// allocating; a buffer of MaxHops() hops holds any canonical route.
 package topo
 
 import "fmt"
@@ -310,10 +311,9 @@ func (t *T) AppendForward(buf []Hop, proc, mem int) []Hop {
 }
 
 // Forward returns the hop sequence for a processor-to-memory message
-// (the forward path: ReadReq, WriteReq, WriteBack, CopyBack, InvalAck).
-// Callers on hot paths should memoize through a RouteCache; the slice
-// a RouteCache returns is shared, so treat all returned routes as
-// immutable (xbar's fault route splicing copies before mutating).
+// (the forward path: ReadReq, WriteReq, WriteBack, CopyBack, InvalAck)
+// in a freshly allocated slice. Hot paths append into a reused buffer
+// with AppendForward instead.
 func (t *T) Forward(proc, mem int) []Hop {
 	return t.AppendForward(make([]Hop, 0, t.Stages), proc, mem)
 }
@@ -340,6 +340,12 @@ func (t *T) AppendBackward(buf []Hop, mem, proc int) []Hop {
 func (t *T) Backward(mem, proc int) []Hop {
 	return t.AppendBackward(make([]Hop, 0, t.Stages), mem, proc)
 }
+
+// MaxHops is the length of the longest canonical route, 2·Stages−1
+// hops: a turnaround, or a route from a switch, that pivots at the top
+// rank. A buffer of that capacity holds every route this package
+// computes.
+func (t *T) MaxHops() int { return 2*t.Stages - 1 }
 
 // SelPeriod is the number of distinct turnaround path selectors:
 // Radix^(Stages-1), the modulus applied to Turnaround's sel.
@@ -397,23 +403,22 @@ func (t *T) AppendTurnaround(buf []Hop, src, dst, sel int) []Hop {
 // Turnaround returns the processor-to-processor hop sequence; the
 // route depends on sel only through sel mod SelPeriod().
 func (t *T) Turnaround(src, dst, sel int) []Hop {
-	return t.AppendTurnaround(make([]Hop, 0, 2*t.Stages-1), src, dst, sel)
+	return t.AppendTurnaround(make([]Hop, 0, t.MaxHops()), src, dst, sel)
 }
 
-// RouteFrom computes a route for a message created inside switch sw
-// (a snooper interception), entering the fabric on the switch-internal
-// injection port in. Destinations below sw's subtree descend directly;
-// memory-side destinations whose top rank is not straight above climb
-// only as far as needed, and processor-side destinations outside the
-// subtree pivot through sel-chosen free digits exactly like
-// Turnaround. The lane arithmetic anchors on sw's first endpoint
-// (index*Radix), matching the pre-arithmetic implementation hop for
-// hop on 2-stage machines.
-func (t *T) RouteFrom(sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
+// AppendRouteFrom appends the route of a message created inside
+// switch sw (a snooper interception) to buf, entering the fabric on the
+// switch-internal injection port in. Destinations below sw's subtree
+// descend directly; memory-side destinations whose top rank is not
+// straight above climb only as far as needed, and processor-side
+// destinations outside the subtree pivot through sel-chosen free
+// digits exactly like AppendTurnaround. The lane arithmetic anchors on
+// sw's first endpoint (index*Radix), matching the pre-arithmetic
+// implementation hop for hop on 2-stage machines.
+func (t *T) AppendRouteFrom(buf []Hop, sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
 	t.checkNode(node)
 	w, rank := sw.Index, sw.Stage
 	anchor := sw.Index * t.Radix
-	buf := make([]Hop, 0, 2*t.Stages-1)
 	if memSide {
 		top := node / t.Radix
 		// Descend until every digit below the current rank matches the
@@ -481,6 +486,12 @@ func (t *T) RouteFrom(sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
 		w = t.setDigit(w, j, d)
 	}
 	return append(buf, Hop{Sw: SwitchID{0, w}, In: in, Out: Port(node % t.Radix)})
+}
+
+// RouteFrom returns AppendRouteFrom's route in a freshly allocated
+// slice.
+func (t *T) RouteFrom(sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
+	return t.AppendRouteFrom(make([]Hop, 0, t.MaxHops()), sw, in, memSide, node, sel)
 }
 
 // PortPeer describes what a switch output port connects to: another

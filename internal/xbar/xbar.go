@@ -88,9 +88,6 @@ type Handler func(*mesg.Message)
 type Config struct {
 	CoreCycles  sim.Cycle // switch pipeline delay; 0 means default
 	VCQueueMsgs int       // per-VC input queue capacity; 0 means default
-	// RouteCacheEntries bounds each routing domain's hot-route LRU;
-	// 0 means topo.DefaultRouteCacheEntries.
-	RouteCacheEntries int
 	// Snoop, when non-nil, is attached to every switch.
 	Snoop Snooper
 }
@@ -135,15 +132,15 @@ type domain struct {
 	eng   *sim.Engine
 	shard int
 	stats Stats
-	// rc memoizes this domain's hot routes. Per-domain ownership keeps
-	// the topology immutable and the cache lock-free under sharding;
-	// route state is O(capacity) per shard instead of O(Nodes²).
-	rc *topo.RouteCache
-	// txFree recycles tx wrappers: one is live per in-flight message,
-	// dying at final-hop delivery or a snoop sink, so the steady-state
-	// send path allocates nothing. A tx may be freed into a different
-	// domain than it was allocated from (it travels with the message);
-	// freelists only ever shrink and grow on their own engine.
+	// maxHops sizes a fresh tx's hop buffer: topo.T.MaxHops, the
+	// longest canonical route.
+	maxHops int
+	// txFree recycles tx wrappers and their hop buffers: one is live per
+	// in-flight message, dying at final-hop delivery or a snoop sink, so
+	// the steady-state send path allocates nothing. A tx may be freed
+	// into a different domain than it was allocated from (it travels
+	// with the message); freelists only ever shrink and grow on their
+	// own engine.
 	txFree []*tx
 	// nextID feeds message-ID assignment. IDs carry the domain's shard
 	// index in the low byte so streams from different shards never
@@ -153,20 +150,22 @@ type domain struct {
 }
 
 // newTx hands out a recycled (zeroed) tx, or a fresh one when the
-// freelist is dry.
+// freelist is dry. Either way its hop buffer is empty and, unless a
+// fault detour replaced it, holds any canonical route.
 func (d *domain) newTx() *tx {
 	if len(d.txFree) == 0 {
-		return &tx{}
+		return &tx{hops: make([]topo.Hop, 0, d.maxHops)}
 	}
 	t := d.txFree[len(d.txFree)-1]
 	d.txFree = d.txFree[:len(d.txFree)-1]
 	return t
 }
 
-// freeTx returns a finished tx to the freelist. The caller must hold
-// the only reference (the tx has left every queue).
+// freeTx returns a finished tx to the freelist, keeping its hop
+// buffer's backing array. The caller must hold the only reference (the
+// tx has left every queue).
 func (d *domain) freeTx(t *tx) {
-	*t = tx{}
+	*t = tx{hops: t.hops[:0]}
 	d.txFree = append(d.txFree, t)
 }
 
@@ -178,7 +177,11 @@ func (d *domain) assignID(m *mesg.Message) {
 	}
 }
 
-// tx is a message in flight with its residual route.
+// tx is a message in flight with its route. hops is the tx's own
+// buffer, filled in place when the message enters the fabric and
+// recycled with the tx; hopIdx is the current hop. A fault detour
+// replaces hops with a freshly built slice (see faults.go), so no two
+// live messages ever share a route's backing array.
 type tx struct {
 	m        *mesg.Message
 	hops     []topo.Hop
@@ -353,7 +356,7 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 	if cfg.VCQueueMsgs == 0 {
 		cfg.VCQueueMsgs = DefaultVCQueueMsgs
 	}
-	d := &domain{eng: eng, rc: topo.NewRouteCache(tp, cfg.RouteCacheEntries)}
+	d := &domain{eng: eng, maxHops: tp.MaxHops()}
 	n := &Network{
 		eng:       eng,
 		tp:        tp,
@@ -461,7 +464,7 @@ func (n *Network) LookaheadMatrix() [][]sim.Cycle {
 func (n *Network) Shard(engs []*sim.Engine, swShard, procShard, memShard []int) {
 	n.doms = make([]*domain, len(engs))
 	for i, e := range engs {
-		n.doms[i] = &domain{eng: e, shard: i, rc: topo.NewRouteCache(n.tp, n.cfg.RouteCacheEntries)}
+		n.doms[i] = &domain{eng: e, shard: i, maxHops: n.tp.MaxHops()}
 	}
 	for i := range n.switches {
 		n.switches[i].dom = n.doms[swShard[n.switches[i].ord]]
@@ -567,21 +570,19 @@ func (n *Network) AttachProc(i int, h Handler) { n.procH[i] = h }
 // AttachMem registers the handler for node i's memory interface.
 func (n *Network) AttachMem(i int, h Handler) { n.memH[i] = h }
 
-// route computes the hop sequence for a message between endpoints,
-// through the sending domain's hot-route cache. The block address
+// route appends the canonical hop sequence for a message between
+// endpoints to buf, computed arithmetically by topo. The block address
 // selects the turnaround pivot for processor-to-processor messages so
-// a transaction's reply stays in its home's subtree. Returned slices
-// are shared with the cache and must be treated as immutable (the
-// fault overlay's detours always build fresh slices).
-func (n *Network) route(dom *domain, m *mesg.Message) []topo.Hop {
+// a transaction's reply stays in its home's subtree.
+func (n *Network) route(buf []topo.Hop, m *mesg.Message) []topo.Hop {
 	s, d := m.Src, m.Dst
 	switch {
 	case s.Side == mesg.ProcSide && d.Side == mesg.MemSide:
-		return dom.rc.Forward(s.Node, d.Node)
+		return n.tp.AppendForward(buf, s.Node, d.Node)
 	case s.Side == mesg.MemSide && d.Side == mesg.ProcSide:
-		return dom.rc.Backward(s.Node, d.Node)
+		return n.tp.AppendBackward(buf, s.Node, d.Node)
 	case s.Side == mesg.ProcSide && d.Side == mesg.ProcSide:
-		return dom.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
+		return n.tp.AppendTurnaround(buf, s.Node, d.Node, int(m.Addr>>5))
 	default:
 		panic(fmt.Sprintf("xbar: unsupported route %v -> %v", s, d))
 	}
@@ -678,11 +679,13 @@ func (n *Network) Send(m *mesg.Message) {
 	if n.Trace != nil {
 		n.Trace("send", dom.eng.Now(), m)
 	}
-	hops, canon, ok := n.routeOrFail(n.route(dom, m), m)
+	t := dom.newTx()
+	t.hops = n.route(t.hops, m)
+	hops, canon, ok := n.routeOrFail(t.hops, m)
 	if !ok {
+		dom.freeTx(t)
 		return
 	}
-	t := dom.newTx()
 	t.m, t.hops, t.canon, t.injected = m, hops, canon, dom.eng.Now()
 	var il *injLink
 	if m.Src.Side == mesg.ProcSide {
@@ -1013,21 +1016,22 @@ func (n *Network) afterPop(sw *swc, p, v int) {
 func (n *Network) injectAt(sw *swc, m *mesg.Message, when sim.Cycle) {
 	dom := sw.dom
 	dom.assignID(m)
-	hops, canon, ok := n.routeOrFail(n.routeFrom(sw, m), m)
+	t := dom.newTx()
+	t.hops = n.routeFrom(t.hops, sw, m)
+	hops, canon, ok := n.routeOrFail(t.hops, m)
 	if !ok {
+		dom.freeTx(t)
 		return
 	}
-	t := dom.newTx()
 	t.m, t.hops, t.canon, t.injected, t.skipSnoopOnce = m, hops, canon, when, true
 	dom.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
 }
 
-// routeFrom computes a route for a message created inside switch sw,
-// entering on the internal injection pseudo-port, through the owning
-// domain's route cache (topo.RouteFrom does the arithmetic).
-func (n *Network) routeFrom(sw *swc, m *mesg.Message) []topo.Hop {
+// routeFrom appends to buf the route of a message created inside
+// switch sw, entering on the internal injection pseudo-port.
+func (n *Network) routeFrom(buf []topo.Hop, sw *swc, m *mesg.Message) []topo.Hop {
 	inj := topo.Port(2 * n.tp.Radix)
-	return sw.dom.rc.RouteFrom(sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
+	return n.tp.AppendRouteFrom(buf, sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
 }
 
 // deliverEnd hands a message to the endpoint handler.

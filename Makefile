@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke figures-repeat bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke figures-repeat bench figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
@@ -89,57 +89,16 @@ test-race-sharded:
 	go test -race -run 'Sharded|Differential' ./internal/sim/... ./internal/figures/...
 	go test -race ./internal/serve/...
 
-# One iteration of every benchmark, including the figure regenerators,
-# the design-space ablations (reduced inputs), the sharded-engine
-# scaling points, and the serving layer's submit-to-result latency
-# (cached vs uncached). The results are rendered into BENCH_8.json via
-# cmd/benchjson after an informational comparison against the committed
-# copy; commit the refreshed file when a perf change is intentional.
-# BENCH_7.json stays in the tree as the pre-generalized-topology record.
+# The perf gate (scripts/perfgate.sh), about 20 minutes: every
+# workload of the repository benchmark (bench/) run at PARENT and in
+# this checkout in alternating pairs and judged by `bench/run.sh
+# compare`; then one traced run per workload and side, whose
+# figures_digest and count.* differences it prints, and the live-heap
+# ceiling on this checkout's bigfft (256 nodes under 16x 64 nodes).
+# The script exits 1 on compare's verdict alone and 2 on any other
+# failure; CI calls it directly to tell the two apart.
 bench:
-	go build -o bin/benchjson ./cmd/benchjson
-	go test -run '^$$' -bench . -benchmem -benchtime 1x ./... > bench.out
-	bin/benchjson -in bench.out -out BENCH_8.json -baseline BENCH_8.json
-
-# Diff two committed benchmark documents directly — no fresh bench run.
-# Defaults to the previous record against the current one; override
-# with OLD=/NEW=, and set TOLERANCE=pct to turn the report into a gate
-# (exit 1 when any |delta| on ns/op, B/op, or allocs/op exceeds it).
-OLD ?= BENCH_7.json
-NEW ?= BENCH_8.json
-TOLERANCE ?= 0
-bench-compare:
-	go build -o bin/benchjson ./cmd/benchjson
-	bin/benchjson compare -tolerance $(TOLERANCE) $(OLD) $(NEW)
-
-# The CI perf gate: the Figure 8 sweep benchmark (the run that pays
-# for the shared ScaleSmall sweep, so its ns/op and Msimcycles/sec are
-# honest) plus the scheduler hot-path microbenchmarks (At closures, and
-# AtEvent with a pointer data word, the path the model's components
-# use), best of $(BENCH_COUNT) runs, compared against the committed
-# BENCH_8.json; benchjson gates only benchmarks that file records, so
-# EngineActorEvents reports without gating until the record is renewed.
-# The sweep repeats in separate processes because the figure
-# benchmarks share one sync.Once sweep per process. Informational by
-# default; ENFORCE=1 makes a >10% throughput or allocation regression
-# fail the build (CI enforces on main pushes and stays informational
-# on pull requests).
-BENCH_COUNT ?= 3
-bench-short:
-	go build -o bin/benchjson ./cmd/benchjson
-	for i in $$(seq $(BENCH_COUNT)); do \
-		go test -run '^$$' -bench 'Fig8' -benchmem -benchtime 1x . || exit 1; \
-	done > bench_short.out
-	go test -run '^$$' -bench 'EngineScheduleRun|EngineActorEvents' -benchmem -count $(BENCH_COUNT) ./internal/sim >> bench_short.out
-	bin/benchjson -in bench_short.out -out bench_short.json -baseline BENCH_8.json $(if $(ENFORCE),-enforce)
-
-# The parallel-speedup gate (scripts/benchgate.sh): BenchmarkShardedFFT
-# at 8 workers must beat 1 worker, else the sharded engine's
-# coordination has regressed into pure overhead. Skips (exit 0, with a
-# message) on hosts with fewer than 8 CPUs, where the 8-worker run
-# would time-slice and measure the scheduler instead of the protocol.
-bench-parallel-gate:
-	sh scripts/benchgate.sh
+	bash scripts/perfgate.sh $(PARENT)
 
 # The paper's result figures at reduced scale (fast) and full scale.
 figures:

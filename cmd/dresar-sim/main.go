@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -242,7 +243,7 @@ func runSweep(scale string, workers int) {
 	default:
 		fail(fmt.Errorf("unknown scale %q (want small or paper)", scale))
 	}
-	sweep, err := figures.SweepN(sc, figures.Apps, figures.DirSizes, workers)
+	sweep, err := figures.SweepCtx(context.Background(), sc, figures.Apps, figures.DirSizes, workers)
 	fail(err)
 	fmt.Print(figures.Fig8(sweep))
 	fmt.Println()

@@ -1,15 +1,19 @@
 // Command figures regenerates the paper's result figures (1, 2, 8, 9,
-// 10, 11) and prints the corresponding tables.
+// 10, 11) and prints the corresponding tables, plus two extensions
+// beyond the paper: -fig 12 (switch directory + switch cache) and
+// -fig 13 (the design ablations).
 //
 // Usage:
 //
 //	figures [-fig N] [-scale small|paper] [-apps fft,tc,...] [-sizes 0,256,...]
 //
-// With no -fig, every figure is produced. Figures 8–11 share one
-// (app × directory-size) sweep.
+// With no -fig, every paper figure is produced. Figures 8–11 share one
+// (app × directory-size) sweep. An unknown -fig or a negative size
+// exits 2.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +24,7 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (1,2,8,9,10,11; 12 = extension E1); 0 = all paper figures")
+	fig := flag.Int("fig", 0, "figure to regenerate (1,2,8,9,10,11; 12 = extension E1, 13 = ablations); 0 = all paper figures")
 	scaleStr := flag.String("scale", "small", "input scale: small or paper (Table 2/3 sizes)")
 	appsStr := flag.String("apps", strings.Join(figures.Apps, ","), "comma-separated workload list")
 	sizesStr := flag.String("sizes", "0,256,512,1024,2048", "switch-directory sizes (0 = base)")
@@ -28,6 +32,12 @@ func main() {
 	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count per cell (0 or 1 = serial; figure values are identical at any width)")
 	flag.Parse()
 	figures.ShardWorkers = *shardWorkers
+	switch *fig {
+	case 0, 1, 2, 8, 9, 10, 11, 12, 13:
+	default:
+		fmt.Fprintf(os.Stderr, "figures: no figure %d\n", *fig)
+		os.Exit(2)
+	}
 
 	var scale figures.Scale
 	switch *scaleStr {
@@ -43,8 +53,8 @@ func main() {
 	var sizes []int
 	for _, s := range strings.Split(*sizesStr, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: bad size %q: %v\n", s, err)
+		if err != nil || n < 0 {
+			fmt.Fprintf(os.Stderr, "figures: bad size %q: want a switch-directory entry count >= 0\n", s)
 			os.Exit(2)
 		}
 		sizes = append(sizes, n)
@@ -66,7 +76,7 @@ func main() {
 		}
 	}
 	if want(8) || want(9) || want(10) || want(11) {
-		sweep, err := figures.Sweep(scale, apps, sizes)
+		sweep, err := figures.SweepCtx(context.Background(), scale, apps, sizes, 0)
 		die(err)
 		if *csvOut != "" {
 			die(os.WriteFile(*csvOut+"_sweep.csv", []byte(figures.SweepCSV(sweep)), 0o644))
@@ -86,6 +96,11 @@ func main() {
 	}
 	if *fig == 12 {
 		text, err := figures.FigE1(scale)
+		die(err)
+		fmt.Println(text)
+	}
+	if *fig == 13 {
+		text, err := figures.Ablations(scale)
 		die(err)
 		fmt.Println(text)
 	}

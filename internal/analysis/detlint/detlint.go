@@ -16,7 +16,7 @@
 //   - `go` statements (each engine is strictly single-threaded;
 //     goroutine interleaving is nondeterministic by definition). The
 //     exceptions are registered per *function* (goAllowedFuncs), not
-//     per package: figures.SweepN fans whole single-threaded
+//     per package: figures.SweepCtx fans whole single-threaded
 //     simulations out over a worker pool and joins them, and
 //     sim.(*ShardedEngine).Run is the one place the conservative-PDES
 //     coordinator may start its shard workers — the quantum-barrier
@@ -65,8 +65,7 @@ var scope = map[string]bool{
 // path -> exact function names (methods spelled "(*Recv).Name") whose
 // bodies may start goroutines. Admitted are only the two places where
 // goroutines provably cannot perturb simulated behavior: SweepCtx
-// (which SweepN wraps) joins independent single-threaded simulations
-// before returning, and the sharded coordinator's Run confines
+// joins independent single-threaded simulations before returning, and the sharded coordinator's Run confines
 // cross-shard interaction to the deterministic quantum-barrier merge.
 // A `go` statement anywhere else in a scope package — including
 // elsewhere in these two packages — is flagged; every other rule (map

@@ -35,8 +35,8 @@ func TestSuiteCleanOnCore(t *testing.T) {
 
 // BenchmarkLintSuite times the full eight-analyzer suite over
 // internal/serve — the package with the deepest CFG/dataflow work
-// (lock ranking, fsync automata, cancellation closure) — so lint-cost
-// regressions show up in BENCH_6.json alongside the engine numbers.
+// (lock ranking, fsync automata, cancellation closure) — so that a
+// lint-cost regression can be timed like any package benchmark.
 func BenchmarkLintSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		diags, err := analysis.Run("", []string{"dresar/internal/serve"}, suite.All)

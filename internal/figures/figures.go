@@ -1,8 +1,8 @@
-// Package figures regenerates every result figure of the paper's
-// evaluation (Figures 1, 2, 8, 9, 10, 11): the workload construction,
-// the parameter sweeps over switch-directory sizes, the base-system
-// comparisons, and the table formatting. Both cmd/figures and the
-// repository's benchmark harness (bench_test.go) drive this package.
+// Package figures regenerates the paper's result figures (1, 2, 8, 9,
+// 10, 11) and two extensions beyond it (E1 and the design ablations):
+// the workload construction, the sweeps over switch-directory sizes,
+// the base-system comparisons, and the table formatting. cmd/figures,
+// dresar-sim -sweep, the job server and the repository benchmark use it.
 //
 // Two scales are supported: ScalePaper uses the paper's inputs (Table
 // 2: FFT 16K points, TC/FWA/GAUSS 128×128, SOR 512×512; 16M-reference
@@ -14,10 +14,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dresar/internal/core"
+	"dresar/internal/sdir"
 	"dresar/internal/sim"
 	"dresar/internal/trace"
 	"dresar/internal/tracesim"
@@ -133,7 +134,7 @@ func stopProbe(ctx context.Context) func() bool {
 // cell on the serial engine, >1 on the sharded parallel engine with
 // that many workers. Figure values are cycle-identical at any setting
 // (enforced by the serial-vs-sharded differential tests), so this is
-// purely a wall-clock knob — combine with SweepN's pool width bearing
+// purely a wall-clock knob — combine with SweepCtx's pool width bearing
 // in mind the two multiply.
 var ShardWorkers int
 
@@ -210,15 +211,6 @@ func runCommercial(ctx context.Context, app string, scale Scale, entries int) (R
 	return r, nil
 }
 
-// Sweep runs every app at every directory size (including the base)
-// and indexes results by app then entries. Figures 8–11 all read from
-// one sweep. Cells run concurrently on a bounded worker pool (each
-// simulation is single-threaded and fully isolated, so results are
-// bit-identical to a serial sweep); see SweepN to control the width.
-func Sweep(scale Scale, apps []string, sizes []int) (map[string]map[int]Result, error) {
-	return SweepN(scale, apps, sizes, 0)
-}
-
 // Fig1 reproduces Figure 1: the clean vs dirty split of read misses
 // per application, on the base system.
 func Fig1(scale Scale) (string, map[string][2]float64, error) {
@@ -269,12 +261,19 @@ func Fig2(scale Scale) (string, [][3]float64, error) {
 }
 
 // normTable renders one of Figures 8–11: metric(app, size) normalized
-// to the base system.
+// to the base system, one column per size the sweep ran. An app
+// without a base cell has nothing to normalize to and prints "-".
 func normTable(title, metric string, sweep map[string]map[int]Result, value func(Result) float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	sizes := append([]int{}, DirSizes...)
-	sort.Ints(sizes)
+	var sizes []int
+	for _, row := range sweep {
+		for n := range row {
+			sizes = append(sizes, n)
+		}
+	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
 	fmt.Fprintf(&b, "%-8s", "app")
 	for _, n := range sizes {
 		if n == 0 {
@@ -289,17 +288,17 @@ func normTable(title, metric string, sweep map[string]map[int]Result, value func
 		if !ok {
 			continue
 		}
-		base := value(row[0])
+		base, hasBase := row[0]
 		fmt.Fprintf(&b, "%-8s", app)
 		for _, n := range sizes {
 			r, ok := row[n]
-			if !ok {
+			if !ok || !hasBase {
 				fmt.Fprintf(&b, " %10s", "-")
 				continue
 			}
 			v := 1.0
-			if base > 0 {
-				v = value(r) / base
+			if bv := value(base); bv > 0 {
+				v = value(r) / bv
 			}
 			fmt.Fprintf(&b, " %10.3f", v)
 		}
@@ -347,21 +346,15 @@ func FigE1(scale Scale) (string, error) {
 	fmt.Fprintf(&b, "%-8s %12s %12s %12s %12s %12s\n",
 		"app", "homeReads/b", "homeReads/c", "exec/base-d", "exec/base-c", "cacheServed")
 	for _, app := range []string{"fft", "tc", "sor", "fwa", "gauss"} {
-		w0, err := ScientificWorkload(app, scale)
+		_, base, err := runScientificW(app, scale, core.DefaultConfig())
 		if err != nil {
 			return "", err
 		}
-		base, err := runScientificW(w0, core.DefaultConfig())
+		_, dir, err := runScientificW(app, scale, core.DefaultConfig().WithSwitchDir(1024))
 		if err != nil {
 			return "", err
 		}
-		w1, _ := ScientificWorkload(app, scale)
-		dir, err := runScientificW(w1, core.DefaultConfig().WithSwitchDir(1024))
-		if err != nil {
-			return "", err
-		}
-		w2, _ := ScientificWorkload(app, scale)
-		comb, err := runScientificW(w2, core.DefaultConfig().WithSwitchDir(1024).WithSwitchCache(512))
+		_, comb, err := runScientificW(app, scale, core.DefaultConfig().WithSwitchDir(1024).WithSwitchCache(512))
 		if err != nil {
 			return "", err
 		}
@@ -379,18 +372,106 @@ func FigE1(scale Scale) (string, error) {
 	return b.String(), nil
 }
 
-// runScientificW runs one prepared workload under cfg.
-func runScientificW(w workload.Workload, cfg core.Config) (core.Stats, error) {
+// runScientificW runs one kernel under cfg and returns the machine with
+// its statistics.
+func runScientificW(app string, scale Scale, cfg core.Config) (*core.Machine, core.Stats, error) {
+	w, err := ScientificWorkload(app, scale)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
 	if cfg.ShardWorkers == 0 {
 		cfg.ShardWorkers = ShardWorkers
 	}
 	m, err := core.New(cfg)
 	if err != nil {
-		return core.Stats{}, err
+		return nil, core.Stats{}, err
 	}
 	d, err := workload.NewDriver(m, w)
 	if err != nil {
-		return core.Stats{}, err
+		return nil, core.Stats{}, err
 	}
-	return d.Run()
+	s, err := d.Run()
+	return m, s, err
+}
+
+// ablation is one group of Figure 13: variants of the 16-node machine
+// with 1K-entry switch directories, each run on every kernel in apps.
+type ablation struct {
+	title    string
+	apps     []string
+	split    bool // also print the leaf/top-stage hit split
+	variants []variant
+}
+
+type variant struct {
+	label string
+	set   func(*core.Config)
+}
+
+// each builds one variant per value, labelled by format.
+func each(format string, vals []int, set func(*core.Config, int)) []variant {
+	vs := make([]variant, len(vals))
+	for i, v := range vals {
+		vs[i] = variant{fmt.Sprintf(format, v), func(c *core.Config) { set(c, v) }}
+	}
+	return vs
+}
+
+// ablations are DESIGN.md's design alternatives. FFT never reads a
+// TRANSIENT entry at 16 nodes, so the policy also runs on TC, FWA, GAUSS.
+var ablations = []ablation{
+	{"read-in-TRANSIENT policy", []string{"fft", "tc", "fwa", "gauss"}, false, []variant{
+		{"retry", func(c *core.Config) { c.SwitchDir.Policy = sdir.PolicyRetry }},
+		{"bitvector", func(c *core.Config) { c.SwitchDir.Policy = sdir.PolicyBitVector }},
+	}},
+	{"pending buffer", []string{"fft"}, false, each("%d entries", []int{0, 16},
+		func(c *core.Config, n int) { c.SwitchDir.PendingEntries = n })},
+	{"directory placement", []string{"fft"}, true, []variant{
+		{"both stages", func(c *core.Config) { c.SwitchDir.StageMask = 0 }},
+		{"top only", func(c *core.Config) { c.SwitchDir.StageMask = 1 << 1 }},
+		{"leaf only", func(c *core.Config) { c.SwitchDir.StageMask = 1 << 0 }},
+	}},
+	{"associativity", []string{"fft"}, false, each("%d-way", []int{1, 2, 4, 8},
+		func(c *core.Config, n int) { c.SwitchDir.Ways = n })},
+	{"write MSHRs", []string{"fft"}, false, each("%d", []int{1, 4, 8},
+		func(c *core.Config, n int) { c.Node.OutstandingWrites = n })},
+	{"VC depth vs directory SRAM", []string{"fft"}, false, []variant{
+		{"1 msg, no dirs", func(c *core.Config) { c.Net.VCQueueMsgs, c.SwitchDir = 1, nil }},
+		{"8 msgs, no dirs", func(c *core.Config) { c.Net.VCQueueMsgs, c.SwitchDir = 8, nil }},
+		{"1 msg + 1K dirs", func(c *core.Config) { c.Net.VCQueueMsgs = 1 }},
+	}},
+}
+
+// Ablations renders Figure 13, an extension beyond the paper: the
+// design-space ablations as exact simulated counts. exec/1st is a
+// row's execution time over its group's first row on the same kernel.
+func Ablations(scale Scale) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 13 (extension): design ablations, 16 nodes, 1K-entry switch directories\n"+
+		"%-18s %-6s %10s %8s %10s %8s %10s\n", "variant", "app", "exec", "exec/1st", "switchCtoC", "retries", "homeReads")
+	for _, g := range ablations {
+		fmt.Fprintf(&b, "%s\n", g.title)
+		for _, app := range g.apps {
+			var first float64
+			for _, v := range g.variants {
+				cfg := core.DefaultConfig().WithSwitchDir(1024)
+				v.set(&cfg)
+				m, s, err := runScientificW(app, scale, cfg)
+				if err != nil {
+					return "", fmt.Errorf("ablation %s, %s on %s: %w", g.title, v.label, app, err)
+				}
+				if first == 0 {
+					first = float64(s.Cycles)
+				}
+				fmt.Fprintf(&b, "  %-16s %-6s %10d %8.3f %10d %8d %10d", v.label, app,
+					s.Cycles, float64(s.Cycles)/first, s.ReadCtoCSwitch, s.Retries, s.HomeReads)
+				if g.split {
+					hits := m.SDir.TotalStats()
+					fmt.Fprintf(&b, "  leaf=%d top=%d", hits.LeafHits, hits.TopHits)
+				}
+				fmt.Fprintln(&b)
+			}
+		}
+	}
+	return b.String(), nil
 }

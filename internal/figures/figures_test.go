@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestFig2Monotone(t *testing.T) {
 
 func TestSweepAndNormalizedFigures(t *testing.T) {
 	// A small two-app, two-size sweep exercises the whole path.
-	sweep, err := Sweep(ScaleSmall, []string{"fft", "tpcc"}, []int{0, 1024})
+	sweep, err := SweepCtx(context.Background(), ScaleSmall, []string{"fft", "tpcc"}, []int{0, 1024}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +120,71 @@ func TestSweepAndNormalizedFigures(t *testing.T) {
 		if sd.ExecCycles >= base.ExecCycles {
 			t.Fatalf("%s: execution time not reduced: %d -> %d", app, base.ExecCycles, sd.ExecCycles)
 		}
+	}
+}
+
+// TestNormTableColumns renders hand-built sweeps, with no simulation:
+// the columns are the sizes the sweep ran, not the default sweep's,
+// and an app without a base cell has nothing to normalize to.
+func TestNormTableColumns(t *testing.T) {
+	sweep := map[string]map[int]Result{"fft": {0: {ExecCycles: 200}, 4096: {ExecCycles: 150}}}
+	want := "Figure 11: Execution Time Reduction\n" +
+		"app            base      4096E   (execution cycles, normalized to base)\n" +
+		"fft           1.000      0.750\n"
+	if got := Fig11(sweep); got != want {
+		t.Errorf("sizes {0, 4096}:\n got %q\nwant %q", got, want)
+	}
+	noBase := map[string]map[int]Result{"tc": {1024: {ExecCycles: 224540}}}
+	want = "Figure 11: Execution Time Reduction\n" +
+		"app           1024E   (execution cycles, normalized to base)\n" +
+		"tc                -\n"
+	if got := Fig11(noBase); got != want {
+		t.Errorf("no base cell:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestAblationsPinned pins Figure 13 at ScaleSmall. The FFT rows hold
+// the exec, switch-served, retry and leaf/top-hit counts the ablations
+// have always measured on FFT 4K; the TC, FWA and GAUSS policy rows
+// equal `dresar-sim -app X -size 64 -policy P`.
+func TestAblationsPinned(t *testing.T) {
+	got, err := Ablations(ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `Figure 13 (extension): design ablations, 16 nodes, 1K-entry switch directories
+variant            app          exec exec/1st switchCtoC  retries  homeReads
+read-in-TRANSIENT policy
+  retry            fft        135173    1.000       5760        0       2048
+  bitvector        fft        135173    1.000       5760        0       2048
+  retry            tc         224540    1.000        189     1260       1859
+  bitvector        tc         183532    0.817       1134        0        914
+  retry            fwa       1540203    1.000       1598     1260      14786
+  bitvector        fwa       1410981    0.916       3380        0      13004
+  retry            gauss      347313    1.000        678      622       5786
+  bitvector        gauss      289465    0.833       1923        0       4541
+pending buffer
+  0 entries        fft        135173    1.000       5760        0       2048
+  16 entries       fft        136918    1.013       5760        0       2048
+directory placement
+  both stages      fft        135173    1.000       5760        0       2048  leaf=1152 top=4608
+  top only         fft        139175    1.030       5760        0       2048  leaf=0 top=5760
+  leaf only        fft        163510    1.210       1152        0       6656  leaf=1152 top=0
+associativity
+  1-way            fft        165545    1.000       3628        0       4180
+  2-way            fft        135173    0.817       5760        0       2048
+  4-way            fft        135173    0.817       5760        0       2048
+  8-way            fft        135173    0.817       5760        0       2048
+write MSHRs
+  1                fft        152860    1.000       5760        0       2048
+  4                fft        134877    0.882       5760        0       2048
+  8                fft        135173    0.884       5760        0       2048
+VC depth vs directory SRAM
+  1 msg, no dirs   fft        196453    1.000          0        0       7808
+  8 msgs, no dirs  fft        176233    0.897          0        0       7808
+  1 msg + 1K dirs  fft        160882    0.819       5760        0       2048
+`
+	if got != want {
+		t.Errorf("Figure 13 moved:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

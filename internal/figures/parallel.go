@@ -53,26 +53,25 @@ func runCell(ctx context.Context, app string, scale Scale, entries int) (r Resul
 	return RunOneCtx(ctx, app, scale, entries)
 }
 
-// SweepN runs every (app, size) cell like Sweep, fanning the cells out
-// over a bounded pool of workers goroutines (workers <= 0 uses
-// GOMAXPROCS; 1 degenerates to a serial run). Each cell builds its own
-// Machine with its own engine, RNG, and message pool, so runs share no
-// state and every cell's Result is bit-identical to a serial run; only
-// wall-clock time changes. Results are merged in canonical (apps,
-// sizes) order, and when several cells fail the error reported is the
-// canonically first one, so failures replay identically too.
-func SweepN(scale Scale, apps []string, sizes []int, workers int) (map[string]map[int]Result, error) {
-	return SweepCtx(context.Background(), scale, apps, sizes, workers)
-}
-
-// SweepCtx is SweepN under a cancellation context. Cancelling ctx (or
-// its deadline passing) stops every running cell cooperatively —
-// serial cells within a few events, sharded cells within one lookahead
-// quantum — skips cells not yet started, and returns an error wrapping
-// *core.AbortError. A cell that panics is recovered into a *CellPanic
-// error rather than taking down the caller; when both real failures
-// and aborts are present the canonically first real failure wins (an
-// abort is a consequence of the cancellation, not its cause).
+// SweepCtx runs every app at every directory size (0 is the base
+// system) and indexes the results by app, then entries; Figures 8–11
+// all read one sweep. The cells fan out over a bounded pool of workers
+// goroutines (workers <= 0 uses GOMAXPROCS; 1 degenerates to a serial
+// run). Each cell builds its own Machine with its own engine, RNG, and
+// message pool, so runs share no state and every cell's Result is
+// bit-identical to a serial run; only wall-clock time changes. Results
+// are merged in canonical (apps, sizes) order, and when several cells
+// fail the error reported is the canonically first one, so failures
+// replay identically too.
+//
+// Cancelling ctx (or its deadline passing) stops every running cell
+// cooperatively — serial cells within a few events, sharded cells
+// within one lookahead quantum — skips cells not yet started, and
+// returns an error wrapping *core.AbortError. A cell that panics is
+// recovered into a *CellPanic error rather than taking down the
+// caller; when both real failures and aborts are present the
+// canonically first real failure wins (an abort is a consequence of
+// the cancellation, not its cause).
 func SweepCtx(ctx context.Context, scale Scale, apps []string, sizes []int, workers int) (map[string]map[int]Result, error) {
 	cells := make([]cell, 0, len(apps)*len(sizes))
 	for _, app := range apps {

@@ -34,9 +34,9 @@ func TestSweepNMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := SweepN(ScaleSmall, apps, sizes, workers)
+		got, err := SweepCtx(context.Background(), ScaleSmall, apps, sizes, workers)
 		if err != nil {
-			t.Fatalf("SweepN(workers=%d): %v", workers, err)
+			t.Fatalf("SweepCtx(workers=%d): %v", workers, err)
 		}
 		for _, app := range apps {
 			for _, n := range sizes {
@@ -56,7 +56,7 @@ func TestSweepNCanonicalError(t *testing.T) {
 	apps := []string{"no-such-app-a", "no-such-app-b"}
 	sizes := []int{0, 256}
 	for _, workers := range []int{1, 4} {
-		_, err := SweepN(ScaleSmall, apps, sizes, workers)
+		_, err := SweepCtx(context.Background(), ScaleSmall, apps, sizes, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: want error for unknown apps", workers)
 		}
@@ -95,7 +95,7 @@ func TestSweepCtxPanicRecovered(t *testing.T) {
 	}
 	defer func() { runCellHook = nil }()
 	for _, workers := range []int{1, 4} {
-		_, err := SweepN(ScaleSmall, []string{"fft"}, []int{0, 512}, workers)
+		_, err := SweepCtx(context.Background(), ScaleSmall, []string{"fft"}, []int{0, 512}, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: sweep with panicking cell returned no error", workers)
 		}

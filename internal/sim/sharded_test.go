@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -479,5 +480,78 @@ func TestShardedStopResume(t *testing.T) {
 		if at != uint64(i*8) {
 			t.Fatalf("hop %d fired at cycle %d, want %d", i, at, i*8)
 		}
+	}
+}
+
+// BenchmarkShardedBarrierOnly isolates the synchronization protocol:
+// every shard runs a 1-cycle self-reschedule ticker and nothing ever
+// crosses shards, so granted windows stay near the lookahead floor and
+// the measured cost is round churn — horizon gather, window grant, and
+// the padded-flag barrier — with negligible model work. This is the
+// overhead every real workload pays per round; it must stay flat as
+// workers grow or wide machines lose their parallel win to the fabric.
+func BenchmarkShardedBarrierOnly(b *testing.B) {
+	const cycles = 1 << 15
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				se := NewShardedEngine(workers, 8)
+				engs := se.Engines()
+				var tick actorFunc
+				tick = func(op int, arg uint64, data any) {
+					e := engs[int(arg)]
+					if e.Now() < cycles {
+						e.AfterEvent(1, tick, 0, arg, nil)
+					}
+				}
+				for p := range engs {
+					engs[p].AtEvent(0, tick, 0, uint64(p), nil)
+				}
+				if n := se.Run(0); n != workers*(cycles+1) {
+					b.Fatalf("executed %d events, want %d", n, workers*(cycles+1))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCrossShardHeavy is the opposite extreme: an all-to-all
+// kernel where every shard posts one message to every other shard each
+// lookahead period. This saturates the per-pair staging lanes and the
+// destination-side merge — the direct shard-to-shard exchange path that
+// replaced the coordinator's global concat-and-sort — so regressions in
+// lane staging, parity draining, or merge insertion show up here first.
+func BenchmarkCrossShardHeavy(b *testing.B) {
+	const (
+		lat    = Cycle(8)
+		cycles = Cycle(1 << 13)
+	)
+	for _, workers := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				se := NewShardedEngine(workers, lat)
+				engs := se.Engines()
+				var sink actorFunc = func(op int, arg uint64, data any) {}
+				var tick actorFunc
+				tick = func(op int, arg uint64, data any) {
+					me := int(arg)
+					e := engs[me]
+					for p := range engs {
+						if p != me {
+							e.Post(engs[p], e.Now()+lat, sink, 0, 0, nil)
+						}
+					}
+					if e.Now()+lat < cycles {
+						e.AfterEvent(lat, tick, 0, arg, nil)
+					}
+				}
+				for p := range engs {
+					engs[p].AtEvent(0, tick, 0, uint64(p), nil)
+				}
+				se.Run(0)
+			}
+		})
 	}
 }

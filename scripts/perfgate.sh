@@ -109,7 +109,7 @@ h256=$(heap 256n)
 [ -n "$h64" ] && [ -n "$h256" ] || die "no live_heap_mb.64n or .256n in the traced bigfft run"
 awk -v a="$h256" -v b="$h64" 'BEGIN { exit !(a >= 16 * b) }' &&
 	die "live_heap_mb.256n $h256 MB is at or above 16 × live_heap_mb.64n ($h64 MB)"
-awk -v a="$h256" -v b="$h64" 'BEGIN { printf "perfgate: heap ceiling: live_heap_mb.256n %s MB / .64n %s MB = %.2f×, below 16×\n", a, b, a / b }'
+awk -v a="$h256" -v b="$h64" 'BEGIN { printf "perfgate: heap ceiling: live_heap_mb.256n %.2f MB / .64n %.2f MB = %.2f×, below 16×\n", a, b, a / b }'
 
 [ "$verdict" = 0 ] || echo "perfgate: compare's verdict fails (exit 1)" >&2
 exit "$verdict"

@@ -89,7 +89,7 @@ test-race-sharded:
 	go test -race -run 'Sharded|Differential' ./internal/sim/... ./internal/figures/...
 	go test -race ./internal/serve/...
 
-# The perf gate (scripts/perfgate.sh), about 20 minutes: every
+# The perf gate (scripts/perfgate.sh), about 15 minutes: every
 # workload of the repository benchmark (bench/) run at PARENT and in
 # this checkout in alternating pairs and judged by `bench/run.sh
 # compare`; then one traced run per workload and side, whose

@@ -27,8 +27,9 @@
 set -euo pipefail
 
 # Three pairs of 25-second runs per workload, plus one traced run per
-# workload and side, take about 20 minutes on 2 vCPUs.
+# workload and side, take about 15 minutes on a 2-vCPU host.
 pairs=3
+traced=$((pairs + 1)) # the traced runs' seed
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 die() { echo "perfgate: FAIL: $*" >&2; exit 2; }
@@ -78,7 +79,7 @@ verdict=0
 bash "$root/bench/run.sh" compare "$out/parent" "$out/head" || verdict=$?
 [ "$verdict" -le 1 ] || die "compare exited $verdict"
 
-pair $((pairs + 1)) 1
+pair "$traced" 1
 
 # metrics FILE PATTERN prints "name value" for the metrics of FILE's
 # result line whose names match PATTERN, at full precision.
@@ -86,7 +87,6 @@ metrics() {
 	tail -n 1 "$1" | grep -o "\"$2\":{\"value\":[^,}]*" | sed 's/^"\([^"]*\)":{"value":/\1 /' || true
 }
 
-traced=$((pairs + 1))
 for wl in $workloads; do
 	p=$(cat "$out/parent/$wl"/* "$out/traced/parent/$wl/$traced" | sed -n 's/^figures_digest //p' | sort -u)
 	h=$(cat "$out/head/$wl"/* "$out/traced/head/$wl/$traced" | sed -n 's/^figures_digest //p' | sort -u)

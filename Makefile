@@ -101,11 +101,14 @@ bench:
 	bash scripts/perfgate.sh $(PARENT)
 
 # The paper's result figures at reduced scale (fast) and full scale.
+# figures-paper writes the archive in results/: every paper figure, then
+# extension E1 (-fig 12), about 100 s.
 figures:
 	go run ./cmd/figures
 
 figures-paper:
 	go run ./cmd/figures -scale paper -csv results/paper | tee results/figures_paper.txt
+	go run ./cmd/figures -fig 12 -scale paper | tee -a results/figures_paper.txt
 
 # End-to-end smoke of the serving layer: race-built dresar-served
 # driven by dresar-load over real HTTP — cold run, byte-identical

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build fmt test test-race test-race-sharded vet lint lint-json bench-test bench-smoke figures-repeat bench figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build fmt test test-race vet lint lint-json bench-test bench-smoke figures-repeat bench figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
@@ -28,8 +28,8 @@ vet:
 
 # The project analyzers (docs/ANALYSIS.md): determinism, protocol-enum
 # exhaustiveness, message ownership, counter monotonicity, plus the
-# CFG/dataflow checks over the concurrent core (shard isolation, lock
-# discipline, cancellation, fsync ordering). Running the tool through
+# CFG/dataflow checks over the serving layer (lock discipline,
+# cancellation, fsync ordering). Running the tool through
 # `go vet -vettool=` gets per-package result caching keyed on the tool
 # binary's hash.
 lint:
@@ -71,23 +71,11 @@ figures-repeat:
 	cmp "$$d/a.txt" "$$d/b.txt" && cmp "$$d/a_fig2.csv" "$$d/b_fig2.csv" && \
 	echo "figures-repeat: Figure 2 text and CSV identical across two runs"
 
-# The fast race pass skips the serial-vs-sharded differential suite
-# (the single longest race run); test-race-sharded carries it.
+# One race pass over everything, the serving layer (the package the
+# lockheld/ctxflow analyzers guard statically) and the figure sweep's
+# worker pool included.
 test-race:
-	go test -race -skip 'TestSerialShardedDifferential|TestShardedPaperScaleSmoke' ./...
-
-# The sharded-engine race gate on its own: the serial-vs-sharded
-# differential test drives every workload across 2/4/8 workers under
-# the race detector, which is the proof that the quantum-barrier
-# protocol has no unsynchronized cross-shard access. Split out from
-# the fast path because it is the single longest race run; CI gives it
-# a dedicated job, and the same job carries a full race pass over the
-# serving layer (the other concurrency-dense package, and the one the
-# lockheld/ctxflow analyzers guard statically — the dynamic check
-# keeps the static one honest).
-test-race-sharded:
-	go test -race -run 'Sharded|Differential' ./internal/sim/... ./internal/figures/...
-	go test -race ./internal/serve/...
+	go test -race ./...
 
 # The perf gate (scripts/perfgate.sh), about 15 minutes: every
 # workload of the repository benchmark (bench/) run at PARENT and in

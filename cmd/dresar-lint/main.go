@@ -1,5 +1,5 @@
 // Command dresar-lint is the repo's static-analysis gate. It bundles
-// eight analyzers that enforce invariants the test suite can only probe
+// seven analyzers that enforce invariants the test suite can only probe
 // statistically:
 //
 //	detlint    determinism of the event path (no map-order side
@@ -9,8 +9,6 @@
 //	           the interconnect
 //	statlint   Stats counters increment-only outside their owning
 //	           package
-//	shardsafe  shard-worker goroutines touch only lane-local state;
-//	           cross-shard data rides the stamped outbox/merge path
 //	lockheld   Lock/Unlock balanced on every CFG path, no blocking
 //	           operations under the serving locks, and acquisitions
 //	           respect the declared Server.mu → Job.mu → Cache.mu order

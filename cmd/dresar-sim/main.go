@@ -5,11 +5,10 @@
 //
 //	dresar-sim -app fft [-entries 1024] [-size 16384] [-nodes 16]
 //	           [-policy retry|bitvector] [-pending 0] [-check]
-//	           [-shard-workers N]
 //	           [-faults drop=20,dup=10,seed=7]
 //	           [-net-faults linkdown=0:4@5000,switchdown=6@8000]
 //	           [-watchdog 1000000]
-//	           [-cpuprofile cpu.prof] [-memprofile mem.prof] [-exectrace run.trace]
+//	           [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	dresar-sim -sweep [-scale small|paper] [-workers N]
 //
 // -sweep regenerates the paper's figure sweep (every app × directory
@@ -17,16 +16,9 @@
 // single-threaded simulation, so the tables do not depend on -workers —
 // and prints Figures 8–11.
 //
-// -shard-workers > 1 executes the single-run machine on the sharded
-// parallel engine (cycle-identical statistics at any worker count;
-// see DESIGN.md "Parallel execution model"); 0 or 1 runs it serially.
-// Incompatible with -faults/-net-faults/-watchdog (serial-only
-// features). -cpuprofile/-memprofile write pprof profiles (the heap
-// profile is taken when the run ends, with the machine still live, so
-// `go tool pprof -sample_index=inuse_space` shows what it retains), and
-// -exectrace writes a runtime/trace execution trace — `go tool trace`
-// on it shows per-shard goroutine timelines, barrier stalls, and shard
-// imbalance directly (see EXPERIMENTS.md).
+// -cpuprofile/-memprofile write pprof profiles (the heap profile is
+// taken when the run ends, with the machine still live, so
+// `go tool pprof -sample_index=inuse_space` shows what it retains).
 //
 // -entries 0 runs the base system with no switch directories. -size is
 // the kernel's input parameter (points for FFT, matrix/grid dimension
@@ -51,7 +43,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"runtime/trace"
 
 	"dresar/internal/core"
 	"dresar/internal/fault"
@@ -79,10 +70,8 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the full figure sweep (every app × directory size) instead of one kernel")
 	scale := flag.String("scale", "small", "sweep input scale: small or paper")
 	workers := flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial)")
-	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count (0 or 1 = serial, >1 = parallel engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at the end of the run: the in-use heap while the machine is still live, and all allocations")
-	exectrace := flag.String("exectrace", "", "write a runtime/trace execution trace to this file (inspect with `go tool trace`)")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -90,15 +79,6 @@ func main() {
 		fail(err)
 		fail(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
-	}
-	if *exectrace != "" {
-		f, err := os.Create(*exectrace)
-		fail(err)
-		fail(trace.Start(f))
-		defer func() {
-			trace.Stop()
-			f.Close()
-		}()
 	}
 	if *sweep {
 		runSweep(*scale, *workers)
@@ -116,7 +96,6 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.Radix = *nodes, *radix
 	cfg.CheckCoherence = *check
-	cfg.ShardWorkers = *shardWorkers
 	cfg.Faults = plan
 	cfg.NetFaults = netPlan
 	cfg.Watchdog = sim.Cycle(*watchdog)

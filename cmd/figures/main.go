@@ -29,9 +29,7 @@ func main() {
 	appsStr := flag.String("apps", strings.Join(figures.Apps, ","), "comma-separated workload list")
 	sizesStr := flag.String("sizes", "0,256,512,1024,2048", "switch-directory sizes (0 = base)")
 	csvOut := flag.String("csv", "", "also write the raw sweep (and Fig 2 CDF) as CSV to this file prefix")
-	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count per cell (0 or 1 = serial; figure values are identical at any width)")
 	flag.Parse()
-	figures.ShardWorkers = *shardWorkers
 	switch *fig {
 	case 0, 1, 2, 8, 9, 10, 11, 12, 13:
 	default:

@@ -1,6 +1,6 @@
 // Package sweep is the goAllowedFuncs fixture: it stands in for the
-// packages with registered goroutine exceptions (figures.SweepCtx,
-// sim.(*ShardedEngine).Run). Only the registered function — here,
+// package with a registered goroutine exception (figures.SweepCtx).
+// Only the registered function — here,
 // pool — may start goroutines; a `go` statement anywhere else in the
 // same package is still flagged, and every other determinism rule
 // still applies inside the allowed function.

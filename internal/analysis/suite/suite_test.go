@@ -33,7 +33,7 @@ func TestSuiteCleanOnCore(t *testing.T) {
 	}
 }
 
-// BenchmarkLintSuite times the full eight-analyzer suite over
+// BenchmarkLintSuite times the full seven-analyzer suite over
 // internal/serve — the package with the deepest CFG/dataflow work
 // (lock ranking, fsync automata, cancellation closure) — so that a
 // lint-cost regression can be timed like any package benchmark.

@@ -78,24 +78,11 @@ type Config struct {
 	// still fire, the run stops with a *StallError. 0 disables.
 	Watchdog sim.Cycle
 
-	// ShardWorkers selects the execution engine: 0 or 1 runs the
-	// machine on the serial engine; >1 partitions it across that many
-	// shards executing in parallel under conservative lookahead-quantum
-	// synchronization (sim.ShardedEngine), with results cycle-identical
-	// to the serial engine at any worker count. The count is capped at
-	// the number of switches. Fault injection and the protocol monitor
-	// require serial execution.
+	// ShardWorkers is read by nothing: New accepts any value and
+	// ignores it, and every machine runs on one serial sim.Engine. The
+	// field stays only because the repository benchmark (bench/) still
+	// assigns it; the next change to the benchmark removes it.
 	ShardWorkers int
-
-	// ShardWindowFuzz, when nonzero, seeds adversarial randomization of
-	// the sharded coordinator's window grants: each round every shard's
-	// window is shrunk to a random length inside its safe bound
-	// (sim.ShardedEngine.SetWindowFuzz). Results must stay bit-identical
-	// under any seed — the knob exists so differential tests can prove
-	// the dynamic-lookahead protocol is schedule-independent, not to be
-	// set in production runs (it only slows them down). Ignored in
-	// serial mode.
-	ShardWindowFuzz uint64
 }
 
 // DefaultConfig returns the Table 2 16-node system.
@@ -129,14 +116,9 @@ func (c Config) WithSwitchCache(entries int) Config {
 
 // Machine is one simulated CC-NUMA system.
 type Machine struct {
-	// Eng is the control engine: the machine's only engine in serial
-	// mode, and shard 0 of the group in sharded mode (drivers and
-	// other orchestration actors live there).
+	// Eng is the event engine every component of the machine, and any
+	// driver, schedules on.
 	Eng *sim.Engine
-	// Sharded is non-nil when the machine executes on the conservative
-	// parallel engine (Config.ShardWorkers > 1): engs[i] runs shard i
-	// and Eng aliases shard 0.
-	Sharded *sim.ShardedEngine
 
 	Cfg   Config
 	Topo  *topo.T
@@ -156,38 +138,20 @@ type Machine struct {
 	// nodes and home controllers (the dominant allocation class). It is
 	// nil — pooling off, plain heap allocation — when the protocol
 	// monitor is attached, since the monitor retains message pointers
-	// for its obligation report and recycling would corrupt it. In
-	// sharded mode it is the shard-0 pool; each shard has its own (a
-	// message released on a shard other than its allocator's simply
-	// recycles there — pools only affect allocation reuse, never
-	// simulated behavior).
+	// for its obligation report and recycling would corrupt it.
 	Pool *mesg.Pool
 
 	// Profile accumulates per-block (miss, CtoC) counts for Figure 2.
-	// In sharded mode it is (re)built by Collect from the per-shard
-	// profiles; in serial mode it is live during the run.
 	Profile *sim.BlockProfile
 	// ReadLatHist is the distribution of completed read latencies
-	// (hits included), for percentile reporting. Sharded mode populates
-	// it in Collect, like Profile.
+	// (hits included), for percentile reporting.
 	ReadLatHist sim.Histogram
 
-	// engs lists the engine of each shard; serial machines have one.
-	// procShard/memShard give the shard of each node's processor-side
-	// and memory-side unit (all zero when serial).
-	engs      []*sim.Engine
-	procShard []int
-	memShard  []int
-
-	// Per-shard state only ever touched by events on that shard:
-	// message pools (nil slice when pooling is off), block profiles,
-	// latency histograms, shadow-checker maps and first violations, and
-	// Fail-sink error lists.
-	pools     []*mesg.Pool
-	profiles  []*sim.BlockProfile
-	hists     []*sim.Histogram
-	lastSeen  []map[uint64]uint64 // (proc<<48|block>>5) -> version observed
-	checkErrs []error
+	// Shadow-checker state (Cfg.CheckCoherence): the version each
+	// processor last observed per block, keyed proc<<48|block>>5, and
+	// the first violation found.
+	lastSeen map[uint64]uint64
+	checkErr error
 
 	// Per-node store-version stamp state (see stampFor): cycle of the
 	// last stamp and the intra-cycle counter.
@@ -195,14 +159,13 @@ type Machine struct {
 	stampCtr []uint64
 
 	// stopCheck is the cooperative-cancellation probe installed via
-	// SetStopCheck; Run forwards it to whichever engine executes.
+	// SetStopCheck; Run forwards it to the engine.
 	stopCheck func() bool
 
 	// runErrs collects structured failures reported by components
 	// through their Fail sinks (protocol holes, abandoned
-	// transactions), one list per shard; the first one stops the
-	// engines.
-	runErrs [][]error
+	// transactions); the first one stops the engine.
+	runErrs []error
 	// stall is set when the liveness watchdog trips.
 	stall *StallError
 
@@ -237,8 +200,8 @@ func (e *StallError) Error() string {
 }
 
 // AbortError reports a cooperative cancellation: the stop probe
-// installed with SetStopCheck tripped and Run wound the engines down
-// (serial: within 64 events; sharded: within one lookahead quantum).
+// installed with SetStopCheck tripped and Run stopped the engine
+// within 64 events.
 // The machine's statistics up to Now remain collectable — callers that
 // want the partial run call Collect after seeing this error.
 type AbortError struct {
@@ -251,12 +214,11 @@ func (e *AbortError) Error() string {
 }
 
 // SetStopCheck installs (or, with nil, removes) a cooperative
-// cancellation probe for subsequent Run calls: the executing engine
-// polls fn (serial: every few events; sharded: once per quantum) and,
-// when it reports true, stops cleanly — worker goroutines joined,
-// barriers released — and Run returns an *AbortError with the partial
-// state intact. fn must be safe to call while other goroutines flip
-// its source; ctx.Err() != nil and atomic-flag loads both qualify.
+// cancellation probe for subsequent Run calls: the engine polls fn
+// every few events and, when it reports true, stops cleanly, and Run
+// returns an *AbortError with the partial state intact. fn must be
+// safe to call while other goroutines flip its source; ctx.Err() != nil
+// and atomic-flag loads both qualify.
 func (m *Machine) SetStopCheck(fn func() bool) { m.stopCheck = fn }
 
 // New builds a machine.
@@ -265,88 +227,19 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.ShardWorkers
-	if units := tp.NumSwitches(); workers > units {
-		workers = units
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 {
-		switch {
-		case cfg.Faults.Active():
-			return nil, fmt.Errorf("core: fault injection requires serial execution (got ShardWorkers=%d)", workers)
-		case cfg.NetFaults.Active():
-			return nil, fmt.Errorf("core: network fault injection requires serial execution (got ShardWorkers=%d)", workers)
-		case cfg.CheckProtocol:
-			return nil, fmt.Errorf("core: the protocol monitor requires serial execution (got ShardWorkers=%d)", workers)
-		}
-	}
 	if cfg.Nodes > stampNodeMax+1 {
 		return nil, fmt.Errorf("core: %d nodes exceed the %d-node store-version encoding", cfg.Nodes, stampNodeMax+1)
 	}
-	cfg.ShardWorkers = workers
 	m := &Machine{
-		Cfg:     cfg,
-		Topo:    tp,
-		Profile: sim.NewBlockProfile(),
-	}
-	if workers > 1 {
-		// Routing is arithmetic over the immutable topology, and each
-		// in-flight message builds its route in its own buffer (see
-		// xbar), so there is no route state to share or precompute
-		// before going concurrent.
-		m.Sharded = sim.NewShardedEngine(workers, cfg.Net.Lookahead())
-		m.engs = m.Sharded.Engines()
-		m.Eng = m.engs[0]
-	} else {
-		m.Eng = sim.NewEngine()
-		m.engs = []*sim.Engine{m.Eng}
-	}
-	// Stage-aware shard assignment, NIs co-located with their switch
-	// (an endpoint link is synchronous; see xbar.Network.Shard). Rank 0
-	// is split into contiguous blocks — leaf switch k on shard k*W/L —
-	// so each shard owns a whole subtree of adjacent leaves and their
-	// processors, maximizing intra-shard traffic on big machines. The
-	// upper ranks round-robin across all shards (rank st switch k on
-	// shard (st*L+k)%W), spreading the shared upper fabric evenly.
-	swShard := make([]int, tp.NumSwitches())
-	for k := 0; k < tp.Leaves; k++ {
-		swShard[tp.SwitchOrdinal(topo.SwitchID{Stage: 0, Index: k})] = k * workers / tp.Leaves
-	}
-	for st := 1; st < tp.Stages; st++ {
-		for k := 0; k < tp.Leaves; k++ {
-			swShard[tp.SwitchOrdinal(topo.SwitchID{Stage: st, Index: k})] = (st*tp.Leaves + k) % workers
-		}
-	}
-	m.procShard = make([]int, cfg.Nodes)
-	m.memShard = make([]int, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		m.procShard[i] = swShard[tp.SwitchOrdinal(tp.LeafOf(i))]
-		m.memShard[i] = swShard[tp.SwitchOrdinal(tp.TopOf(i))]
-	}
-	m.profiles = make([]*sim.BlockProfile, workers)
-	m.hists = make([]*sim.Histogram, workers)
-	m.checkErrs = make([]error, workers)
-	m.runErrs = make([][]error, workers)
-	m.stampAt = make([]sim.Cycle, cfg.Nodes)
-	m.stampCtr = make([]uint64, cfg.Nodes)
-	if workers > 1 {
-		for i := range m.profiles {
-			m.profiles[i] = sim.NewBlockProfile()
-			m.hists[i] = &sim.Histogram{}
-		}
-	} else {
-		// Serial mode: the shard-0 slots alias the public fields, so
-		// the profile and histogram stay live during the run.
-		m.profiles[0] = m.Profile
-		m.hists[0] = &m.ReadLatHist
+		Cfg:      cfg,
+		Topo:     tp,
+		Eng:      sim.NewEngine(),
+		Profile:  sim.NewBlockProfile(),
+		stampAt:  make([]sim.Cycle, cfg.Nodes),
+		stampCtr: make([]uint64, cfg.Nodes),
 	}
 	if cfg.CheckCoherence {
-		m.lastSeen = make([]map[uint64]uint64, workers)
-		for i := range m.lastSeen {
-			m.lastSeen[i] = make(map[uint64]uint64)
-		}
+		m.lastSeen = make(map[uint64]uint64)
 	}
 	netCfg := cfg.Net
 	if cfg.SwitchDir != nil {
@@ -373,34 +266,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m.Net = xbar.New(m.Eng, tp, netCfg)
-	if workers > 1 {
-		m.Net.Shard(m.engs, swShard, m.procShard, m.memShard)
-		// Per-pair lookahead floors: start from the fabric's link-distance
-		// matrix, then clamp the pairs the workload driver couples outside
-		// the fabric — its barrier control channel posts ctl (shard 0) <->
-		// proc engines at one hop (workload.Driver) — down to that hop.
-		hop := cfg.Net.Lookahead()
-		lm := m.Net.LookaheadMatrix()
-		for _, s := range m.procShard {
-			if s == 0 {
-				continue
-			}
-			if lm[0][s] > hop {
-				lm[0][s] = hop
-			}
-			if lm[s][0] > hop {
-				lm[s][0] = hop
-			}
-		}
-		m.Sharded.SetLookaheadMatrix(lm)
-		if cfg.ShardWindowFuzz != 0 {
-			m.Sharded.SetWindowFuzz(cfg.ShardWindowFuzz)
-		}
-	}
-	// Fabric partition errors (the only Net.Fail source) need downed
-	// elements, which need a fault plan, which is serial-only — so the
-	// shard-0 sink is never raced.
-	m.Net.Fail = m.failFor(0)
+	m.Net.Fail = m.fail
 	if cfg.CheckProtocol {
 		m.Monitor = check.New()
 		m.Net.Trace = m.Monitor.Observe
@@ -426,23 +292,19 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	if !cfg.CheckProtocol {
-		m.pools = make([]*mesg.Pool, workers)
-		for i := range m.pools {
-			m.pools[i] = &mesg.Pool{}
-		}
-		m.Pool = m.pools[0]
+		m.Pool = &mesg.Pool{}
 	}
 	m.Nodes = make([]*node.Node, cfg.Nodes)
 	m.Homes = make([]*dirctl.Controller, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
-		m.Nodes[i] = node.New(m.engs[m.procShard[i]], i, cfg.Node, send, m.Home,
+		m.Nodes[i] = node.New(m.Eng, i, cfg.Node, send, m.Home,
 			func() uint64 { return m.stampFor(i) })
-		m.Homes[i] = dirctl.New(m.engs[m.memShard[i]], i, cfg.Dir, send)
-		m.Nodes[i].SetPool(m.poolFor(m.procShard[i]))
-		m.Homes[i].SetPool(m.poolFor(m.memShard[i]))
-		m.Nodes[i].Fail = m.failFor(m.procShard[i])
-		m.Homes[i].Fail = m.failFor(m.memShard[i])
+		m.Homes[i] = dirctl.New(m.Eng, i, cfg.Dir, send)
+		m.Nodes[i].SetPool(m.Pool)
+		m.Homes[i].SetPool(m.Pool)
+		m.Nodes[i].Fail = m.fail
+		m.Homes[i].Fail = m.fail
 		m.Net.AttachProc(i, m.Nodes[i].Deliver)
 		m.Net.AttachMem(i, m.Homes[i].Handle)
 	}
@@ -464,65 +326,27 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// failFor builds the Fail sink for components living on the given
-// shard: it records the structured error in that shard's list and
-// stops the engine(s) so the run surfaces it instead of cascading.
-// Per-shard lists keep the sink race-free under sharded execution.
-func (m *Machine) failFor(shard int) func(error) {
-	return func(err error) {
-		m.runErrs[shard] = append(m.runErrs[shard], err)
-		if m.Sharded != nil {
-			m.Sharded.Stop()
-		} else {
-			m.Eng.Stop()
-		}
-	}
-}
-
-// poolFor returns the message pool of the given shard, or nil when
-// pooling is off (protocol monitor attached).
-func (m *Machine) poolFor(shard int) *mesg.Pool {
-	if m.pools == nil {
-		return nil
-	}
-	return m.pools[shard]
+// fail is the components' Fail sink: it records the structured error
+// and stops the engine so the run surfaces it instead of cascading.
+func (m *Machine) fail(err error) {
+	m.runErrs = append(m.runErrs, err)
+	m.Eng.Stop()
 }
 
 // Err returns the first structured failure recorded during the run
-// (nil if none). Shards are scanned in index order, so the choice of
-// "first" does not depend on goroutine interleaving.
+// (nil if none).
 func (m *Machine) Err() error {
-	for _, errs := range m.runErrs {
-		if len(errs) > 0 {
-			return errs[0]
-		}
+	if len(m.runErrs) > 0 {
+		return m.runErrs[0]
 	}
 	return nil
 }
 
-// Now reports the machine clock: the engine clock in serial mode, the
-// newest shard clock in sharded mode (identical to the serial clock at
-// any quiesce point, since both equal the cycle of the last executed
-// event).
-func (m *Machine) Now() sim.Cycle {
-	if m.Sharded != nil {
-		return m.Sharded.Now()
-	}
-	return m.Eng.Now()
-}
+// Now reports the machine clock, the cycle of the last executed event.
+func (m *Machine) Now() sim.Cycle { return m.Eng.Now() }
 
-// Pending reports scheduled-but-unexecuted events across all engines.
-func (m *Machine) Pending() int {
-	if m.Sharded != nil {
-		return m.Sharded.Pending()
-	}
-	return m.Eng.Pending()
-}
-
-// ProcEngine returns the engine running processor p's shard — the
-// engine on which p's completion callbacks fire, and therefore the one
-// a driver must use to schedule p's next reference.
-func (m *Machine) ProcEngine(p int) *sim.Engine { return m.engs[m.procShard[p]] }
+// Pending reports scheduled-but-unexecuted events.
+func (m *Machine) Pending() int { return m.Eng.Pending() }
 
 // MustNew panics on error.
 func MustNew(cfg Config) *Machine {
@@ -543,9 +367,8 @@ func (m *Machine) Home(addr uint64) int {
 //
 //	cycle<<stampCycleShift | node<<stampNodeShift | counter
 //
-// makes stamping a purely node-local operation — no shared counter for
-// shards to race on — while preserving every ordering the protocol
-// relies on: two stamps of the *same* block are always separated by an
+// makes stamping a node-local operation, with no shared counter, while
+// preserving every ordering the protocol relies on: two stamps of the *same* block are always separated by an
 // ownership transfer through the network, so their cycle fields differ
 // and order them; same-node same-cycle stamps are ordered by the
 // counter. The node field only breaks ties between stamps of different
@@ -558,9 +381,9 @@ const (
 )
 
 // stampFor issues node p's next store version: strictly increasing per
-// node. Must run on p's shard (it reads the shard clock).
+// node.
 func (m *Machine) stampFor(p int) uint64 {
-	now := m.engs[m.procShard[p]].Now()
+	now := m.Eng.Now()
 	if m.stampAt[p] != now {
 		m.stampAt[p] = now
 		m.stampCtr[p] = 0
@@ -586,16 +409,15 @@ func (m *Machine) Read(p int, addr uint64, done func(lat sim.Cycle)) {
 func (m *Machine) finishRead(p int, v uint64, class node.ReadClass, lat sim.Cycle) {
 	addr, done := m.rdAddr[p], m.rdDone[p]
 	m.rdDone[p] = nil
-	sh := m.procShard[p]
-	m.engs[sh].Progress()
-	m.hists[sh].Observe(uint64(lat))
+	m.Eng.Progress()
+	m.ReadLatHist.Observe(uint64(lat))
 	if class != node.ReadHit {
 		block := addr &^ 31
 		ctoc := uint64(0)
 		if class == node.ReadCtoCHome || class == node.ReadCtoCSwitch {
 			ctoc = 1
 		}
-		m.profiles[sh].Add(block, 1, ctoc)
+		m.Profile.Add(block, 1, ctoc)
 	}
 	if m.Cfg.CheckCoherence {
 		m.checkRead(p, addr&^31, v)
@@ -616,11 +438,9 @@ func (m *Machine) Write(p int, addr uint64, done func(stall sim.Cycle)) {
 func (m *Machine) finishWrite(p int, v uint64, stall sim.Cycle) {
 	addr, done := m.wrAddr[p], m.wrDone[p]
 	m.wrDone[p] = nil
-	sh := m.procShard[p]
-	m.engs[sh].Progress()
+	m.Eng.Progress()
 	if m.Cfg.CheckCoherence {
-		key := uint64(p)<<48 | (addr&^31)>>5
-		m.lastSeen[sh][key] = v
+		m.lastSeen[uint64(p)<<48|(addr&^31)>>5] = v
 	}
 	if done != nil {
 		done(stall)
@@ -632,32 +452,20 @@ func (m *Machine) finishWrite(p int, v uint64, stall sim.Cycle) {
 // processor, nor return a version stamped after the current cycle
 // (stamps embed their issue cycle; see stampFor).
 func (m *Machine) checkRead(p int, block, v uint64) {
-	sh := m.procShard[p]
-	if m.checkErrs[sh] != nil {
+	if m.checkErr != nil {
 		return
 	}
-	if v>>stampCycleShift > uint64(m.engs[sh].Now()) {
-		m.checkErrs[sh] = fmt.Errorf("core: P%d read %#x version %#x stamped at cycle %d, beyond now %d",
-			p, block, v, v>>stampCycleShift, m.engs[sh].Now())
+	if v>>stampCycleShift > uint64(m.Eng.Now()) {
+		m.checkErr = fmt.Errorf("core: P%d read %#x version %#x stamped at cycle %d, beyond now %d",
+			p, block, v, v>>stampCycleShift, m.Eng.Now())
 		return
 	}
 	key := uint64(p)<<48 | block>>5
-	if prev, ok := m.lastSeen[sh][key]; ok && v < prev {
-		m.checkErrs[sh] = fmt.Errorf("core: P%d read %#x version %#x after observing %#x (stale read)", p, block, v, prev)
+	if prev, ok := m.lastSeen[key]; ok && v < prev {
+		m.checkErr = fmt.Errorf("core: P%d read %#x version %#x after observing %#x (stale read)", p, block, v, prev)
 		return
 	}
-	m.lastSeen[sh][key] = v
-}
-
-// firstCheckErr returns the first shadow-checker violation in shard
-// order (deterministic at any worker count).
-func (m *Machine) firstCheckErr() error {
-	for _, e := range m.checkErrs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	m.lastSeen[key] = v
 }
 
 // Run drains the event engine. Three failure paths produce structured
@@ -677,42 +485,21 @@ func (m *Machine) firstCheckErr() error {
 func (m *Machine) Run(maxCycles sim.Cycle) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if sp, ok := r.(*sim.ShardPanic); ok {
-				// Wrap (not render) so errors.As still surfaces the
-				// typed *sim.ShardPanic to serving-layer callers.
-				err = fmt.Errorf("core: panic at cycle %d: %w", m.Now(), sp)
-				return
-			}
 			err = fmt.Errorf("core: panic at cycle %d: %v", m.Now(), r)
 		}
 	}()
 	if m.Cfg.Watchdog > 0 {
-		onStall := func(now, since sim.Cycle) {
+		m.Eng.SetWatchdog(m.Cfg.Watchdog, func(now, since sim.Cycle) {
 			m.stall = &StallError{
 				Now: now, SinceProgress: since, Pending: m.Pending(),
 				Report: m.StallReport(),
 			}
-		}
-		if m.Sharded != nil {
-			m.Sharded.SetWatchdog(m.Cfg.Watchdog, onStall)
-		} else {
-			m.Eng.SetWatchdog(m.Cfg.Watchdog, onStall)
-		}
+		})
 	}
-	if m.Sharded != nil {
-		m.Sharded.SetStopCheck(m.stopCheck)
-	} else {
-		m.Eng.SetStopCheck(m.stopCheck)
-	}
-	switch {
-	case m.Sharded != nil:
-		if maxCycles < 0 {
-			maxCycles = 0
-		}
-		m.Sharded.Run(maxCycles)
-	case maxCycles <= 0:
+	m.Eng.SetStopCheck(m.stopCheck)
+	if maxCycles <= 0 {
 		m.Eng.Run(0)
-	default:
+	} else {
 		m.Eng.Drain(maxCycles)
 	}
 	if e := m.Err(); e != nil {
@@ -721,17 +508,13 @@ func (m *Machine) Run(maxCycles sim.Cycle) (err error) {
 	if m.stall != nil {
 		return m.stall
 	}
-	aborted := m.Eng.Aborted()
-	if m.Sharded != nil {
-		aborted = m.Sharded.Aborted()
-	}
-	if aborted {
+	if m.Eng.Aborted() {
 		return &AbortError{Now: m.Now(), Pending: m.Pending()}
 	}
 	if maxCycles > 0 && m.Pending() > 0 {
 		return fmt.Errorf("core: watchdog: %d events still pending at cycle %d", m.Pending(), m.Now())
 	}
-	return m.firstCheckErr()
+	return m.checkErr
 }
 
 // StallReport assembles the structured liveness diagnostic: stuck
@@ -807,8 +590,8 @@ func (m *Machine) DumpStuck() string {
 //
 // Call only when Quiesced() is true.
 func (m *Machine) CheckInvariants() error {
-	if e := m.firstCheckErr(); e != nil {
-		return e
+	if m.checkErr != nil {
+		return m.checkErr
 	}
 	type holder struct {
 		owner    int
@@ -827,7 +610,7 @@ func (m *Machine) CheckInvariants() error {
 			switch st {
 			case cache.Modified:
 				if prev, ok := mods[addr]; ok {
-					m.checkErrs[0] = fmt.Errorf("core: block %#x Modified at both P%d and P%d", addr, prev.owner, i)
+					m.checkErr = fmt.Errorf("core: block %#x Modified at both P%d and P%d", addr, prev.owner, i)
 					return
 				}
 				mods[addr] = holder{owner: i, modified: true}
@@ -843,8 +626,8 @@ func (m *Machine) CheckInvariants() error {
 			}
 		})
 	}
-	if e := m.firstCheckErr(); e != nil {
-		return e
+	if m.checkErr != nil {
+		return m.checkErr
 	}
 	modBlocks := make([]uint64, 0, len(mods))
 	for b := range mods {

@@ -37,7 +37,7 @@ func TestSwitchCacheServesCleanSecondReader(t *testing.T) {
 func TestSwitchCacheInvalidatedByWrite(t *testing.T) {
 	m := MustNew(DefaultConfig().WithSwitchCache(512))
 	m.Cfg.CheckCoherence = true
-	m.lastSeen = []map[uint64]uint64{{}}
+	m.lastSeen = map[uint64]uint64{}
 	m.Read(0, 0x40, nil)
 	m.Run(0)
 	m.Write(1, 0x40, nil) // invalidates the cached entry en route to the home

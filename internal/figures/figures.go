@@ -108,9 +108,9 @@ func RunOne(app string, scale Scale, entries int) (Result, error) {
 }
 
 // RunOneCtx executes one (app, entries) cell under a cancellation
-// context: the simulation polls ctx cooperatively (serial engine:
-// every few events; sharded: once per lookahead quantum; trace-driven:
-// every few thousand records) and a cancelled or deadline-exceeded
+// context: the simulation polls ctx cooperatively (execution-driven:
+// every few events; trace-driven: every few thousand records) and a
+// cancelled or deadline-exceeded
 // context aborts the run with a *core.AbortError, wrapped so
 // errors.As finds it, alongside the partial Result measured so far.
 func RunOneCtx(ctx context.Context, app string, scale Scale, entries int) (Result, error) {
@@ -129,13 +129,10 @@ func stopProbe(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// ShardWorkers selects the intra-run execution engine for every
-// execution-driven machine the figure helpers build: 0 or 1 runs each
-// cell on the serial engine, >1 on the sharded parallel engine with
-// that many workers. Figure values are cycle-identical at any setting
-// (enforced by the serial-vs-sharded differential tests), so this is
-// purely a wall-clock knob — combine with SweepCtx's pool width bearing
-// in mind the two multiply.
+// ShardWorkers is read by nothing: every cell runs on one serial
+// engine. The variable stays only because the repository benchmark
+// (bench/) still assigns it; the next change to the benchmark removes
+// it.
 var ShardWorkers int
 
 func runScientific(ctx context.Context, app string, scale Scale, entries int) (Result, error) {
@@ -144,7 +141,6 @@ func runScientific(ctx context.Context, app string, scale Scale, entries int) (R
 		return Result{}, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.ShardWorkers = ShardWorkers
 	if entries > 0 {
 		cfg = cfg.WithSwitchDir(entries)
 	}
@@ -261,19 +257,34 @@ func Fig2(scale Scale) (string, [][3]float64, error) {
 }
 
 // normTable renders one of Figures 8–11: metric(app, size) normalized
-// to the base system, one column per size the sweep ran. An app
-// without a base cell has nothing to normalize to and prints "-".
+// to the base system, one row per app the sweep ran (Apps order first,
+// then any other name sorted) and one column per size. An app without
+// a base cell has nothing to normalize to and prints "-".
 func normTable(title, metric string, sweep map[string]map[int]Result, value func(Result) float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	var sizes []int
-	for _, row := range sweep {
+	apps := make([]string, 0, len(sweep))
+	for app, row := range sweep {
+		apps = append(apps, app)
 		for n := range row {
 			sizes = append(sizes, n)
 		}
 	}
 	slices.Sort(sizes)
 	sizes = slices.Compact(sizes)
+	rank := func(app string) int {
+		if i := slices.Index(Apps, app); i >= 0 {
+			return i
+		}
+		return len(Apps)
+	}
+	slices.SortFunc(apps, func(a, b string) int {
+		if ra, rb := rank(a), rank(b); ra != rb {
+			return ra - rb
+		}
+		return strings.Compare(a, b)
+	})
 	fmt.Fprintf(&b, "%-8s", "app")
 	for _, n := range sizes {
 		if n == 0 {
@@ -283,11 +294,8 @@ func normTable(title, metric string, sweep map[string]map[int]Result, value func
 		}
 	}
 	fmt.Fprintf(&b, "   (%s, normalized to base)\n", metric)
-	for _, app := range Apps {
-		row, ok := sweep[app]
-		if !ok {
-			continue
-		}
+	for _, app := range apps {
+		row := sweep[app]
 		base, hasBase := row[0]
 		fmt.Fprintf(&b, "%-8s", app)
 		for _, n := range sizes {
@@ -378,9 +386,6 @@ func runScientificW(app string, scale Scale, cfg core.Config) (*core.Machine, co
 	w, err := ScientificWorkload(app, scale)
 	if err != nil {
 		return nil, core.Stats{}, err
-	}
-	if cfg.ShardWorkers == 0 {
-		cfg.ShardWorkers = ShardWorkers
 	}
 	m, err := core.New(cfg)
 	if err != nil {

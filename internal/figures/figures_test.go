@@ -124,8 +124,10 @@ func TestSweepAndNormalizedFigures(t *testing.T) {
 }
 
 // TestNormTableColumns renders hand-built sweeps, with no simulation:
-// the columns are the sizes the sweep ran, not the default sweep's,
-// and an app without a base cell has nothing to normalize to.
+// the columns are the sizes the sweep ran, not the default sweep's, an
+// app without a base cell has nothing to normalize to, and an app
+// outside Apps (here the GAUSS alias "ge") still gets its row, after
+// the Apps rows.
 func TestNormTableColumns(t *testing.T) {
 	sweep := map[string]map[int]Result{"fft": {0: {ExecCycles: 200}, 4096: {ExecCycles: 150}}}
 	want := "Figure 11: Execution Time Reduction\n" +
@@ -140,6 +142,19 @@ func TestNormTableColumns(t *testing.T) {
 		"tc                -\n"
 	if got := Fig11(noBase); got != want {
 		t.Errorf("no base cell:\n got %q\nwant %q", got, want)
+	}
+	alias := map[string]map[int]Result{
+		"ge":  {0: {ExecCycles: 400}, 1024: {ExecCycles: 300}},
+		"zz":  {0: {ExecCycles: 100}, 1024: {ExecCycles: 100}},
+		"fft": {0: {ExecCycles: 200}, 1024: {ExecCycles: 150}},
+	}
+	want = "Figure 11: Execution Time Reduction\n" +
+		"app            base      1024E   (execution cycles, normalized to base)\n" +
+		"fft           1.000      0.750\n" +
+		"ge            1.000      0.750\n" +
+		"zz            1.000      1.000\n"
+	if got := Fig11(alias); got != want {
+		t.Errorf("apps outside Apps:\n got %q\nwant %q", got, want)
 	}
 }
 

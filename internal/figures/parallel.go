@@ -65,8 +65,7 @@ func runCell(ctx context.Context, app string, scale Scale, entries int) (r Resul
 // replay identically too.
 //
 // Cancelling ctx (or its deadline passing) stops every running cell
-// cooperatively — serial cells within a few events, sharded cells
-// within one lookahead quantum — skips cells not yet started, and
+// cooperatively, within a few events, skips cells not yet started, and
 // returns an error wrapping *core.AbortError. A cell that panics is
 // recovered into a *CellPanic error rather than taking down the
 // caller; when both real failures and aborts are present the

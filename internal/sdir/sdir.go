@@ -108,8 +108,7 @@ func DefaultConfig() Config {
 }
 
 // Stats aggregates switch-directory counters. Each switch's directory
-// keeps its own instance (so shards never share a counter cache line
-// under sharded execution); TotalStats folds them into the fabric-wide
+// keeps its own instance; TotalStats folds them into the fabric-wide
 // roll-up the figures read.
 type Stats struct {
 	Inserts        uint64 // entries created by write replies
@@ -201,8 +200,7 @@ type dir struct {
 	// drain path uses it to know when the last obligation resolved.
 	pendingCount int
 
-	// stats is this switch's share of the fabric roll-up; only the
-	// shard running the switch ever touches it.
+	// stats is this switch's share of the fabric roll-up.
 	stats Stats
 }
 
@@ -692,8 +690,7 @@ func (f *Fabric) retry(d *dir, m *mesg.Message) xbar.Action {
 }
 
 // TotalStats folds every switch's counters into the fabric-wide
-// roll-up. Call it only when the fabric's shards are not executing (at
-// collection points or after a run).
+// roll-up.
 func (f *Fabric) TotalStats() Stats {
 	var s Stats
 	for _, d := range f.dirs {

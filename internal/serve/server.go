@@ -719,8 +719,7 @@ func (s *Server) List() []JobStatus {
 
 // Cancel requests cancellation: a queued job is finished immediately;
 // a running job gets its context cancelled and winds down at the
-// engine's next stop-check poll (within one lookahead quantum on the
-// sharded engine).
+// engine's next stop-check poll.
 func (s *Server) Cancel(id string) (*Job, *JobError) {
 	j, ok := s.Get(id)
 	if !ok {
@@ -836,7 +835,7 @@ func httpStatus(kind string) int {
 	case KindAborted:
 		return http.StatusGone
 	default:
-		// Typed engine failures (stall, shard_panic, unroutable, panic,
+		// Typed engine failures (stall, unroutable, panic,
 		// internal) are job outcomes, reported on the job that failed:
 		// the request itself succeeded, the simulation did not.
 		return http.StatusUnprocessableEntity

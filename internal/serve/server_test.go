@@ -13,7 +13,6 @@ import (
 
 	"dresar/internal/core"
 	"dresar/internal/figures"
-	"dresar/internal/sim"
 	"dresar/internal/xbar"
 )
 
@@ -217,12 +216,6 @@ func TestTypedErrorClassification(t *testing.T) {
 			func(t *testing.T, je *JobError) {
 				if je.Cycle != 900 || je.SinceProgress != 512 || je.Pending != 3 {
 					t.Errorf("stall detail = %+v", je)
-				}
-			}},
-		{"shard panic", fmt.Errorf("wrap: %w", &sim.ShardPanic{Shard: 2, Value: "boom"}), KindShardPanic,
-			func(t *testing.T, je *JobError) {
-				if je.Shard != 2 {
-					t.Errorf("shard = %d, want 2", je.Shard)
 				}
 			}},
 		{"unroutable", fmt.Errorf("wrap: %w", &xbar.UnroutableError{At: 77}), KindUnroutable,

@@ -7,6 +7,11 @@ type nopActor struct{ fired int }
 
 func (a *nopActor) OnEvent(op int, arg uint64, data any) { a.fired++ }
 
+// actorFunc adapts a function to Actor.
+type actorFunc func(op int, arg uint64, data any)
+
+func (f actorFunc) OnEvent(op int, arg uint64, data any) { f(op, arg, data) }
+
 // TestScheduleFireZeroAlloc pins the hot-path budget: once the slab,
 // the calendar ring's buckets and the far heap are warm, AtEvent + Run
 // must not allocate at all, including for an event scheduled beyond

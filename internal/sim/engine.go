@@ -20,8 +20,6 @@
 // the hot path allocates nothing once the slab and buckets are warm.
 package sim
 
-import "fmt"
-
 // Cycle is a point in simulated time, in 200MHz core cycles.
 type Cycle uint64
 
@@ -33,33 +31,17 @@ type Actor interface {
 	OnEvent(op int, arg uint64, data any)
 }
 
-// event is a scheduled callback. Same-cycle ties are broken by
-// (madeAt, seq): the cycle the event was created on, then its creation
-// stamp, which packs the originating shard into the top bits
-// (seqShardShift) over the source engine's scheduling counter. The
-// whole key is assigned when the event is *created* — for a
-// cross-shard post, on the source engine at Post time — so it is a
-// pure function of simulated history that never depends on when a
-// barrier drain happened to deliver the event. On a serial engine seq
-// alone is globally monotone and madeAt is redundant (kept in the key
-// so both modes share one ordering); across shards, creation-cycle
-// order reproduces the serial engine's global scheduling order
-// whenever the colliding events were created on different cycles, and
-// same-cycle creations fall back to the (srcShard, srcSeq) tie-break,
-// which the model must keep unobservable (see the coalesced
-// arbitration in package xbar). Firing calls actor.OnEvent(op, arg,
-// data); an At closure rides in data behind closureActor. slack is the
-// event's horizon promise (see AtEventSlack); it never affects firing
-// order, only the sharded coordinator's window grants.
+// event is a scheduled callback, 64 bytes. Same-cycle ties are broken
+// by seq, the engine's scheduling counter at creation, so (at, seq) is
+// schedule order. Firing calls actor.OnEvent(op, arg, data); an At
+// closure rides in data behind closureActor.
 type event struct {
-	at     Cycle
-	madeAt Cycle
-	seq    uint64
-	slack  Cycle
-	actor  Actor
-	op     int
-	arg    uint64
-	data   any
+	at    Cycle
+	seq   uint64
+	actor Actor
+	op    int
+	arg   uint64
+	data  any
 }
 
 // closureActor fires At closures, which ride in the event's data word:
@@ -69,27 +51,14 @@ type closureActor struct{}
 
 func (closureActor) OnEvent(_ int, _ uint64, data any) { data.(func())() }
 
-// before reports whether a fires ahead of b: cycle order, then the
-// creation-time key (madeAt, srcShard, srcSeq).
+// before reports whether a fires ahead of b: cycle order, then
+// scheduling order.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.madeAt != b.madeAt {
-		return a.madeAt < b.madeAt
-	}
 	return a.seq < b.seq
 }
-
-// cycleMax is the identity for min-reductions over cycles.
-const cycleMax = ^Cycle(0)
-
-// seqShardShift positions the originating shard index in an event's
-// seq stamp: seq = shard<<seqShardShift | counter. 48 bits of counter
-// (a quarter-quadrillion events per shard, far beyond any run) under
-// 16 bits of shard index keep the stamp one comparable word, so every
-// queue orders by plain (at, seq) and realizes (at, srcShard, srcSeq).
-const seqShardShift = 48
 
 const (
 	// calWindow is the span of the bucket ring. Events at most
@@ -109,7 +78,7 @@ type bucket struct {
 }
 
 // farHeap is a min-heap of slab slot indices ordered by their records'
-// key (at, madeAt, seq).
+// key (at, seq).
 type farHeap []uint32
 
 func (h farHeap) less(slab []event, i, j int) bool { return slab[h[i]].before(&slab[h[j]]) }
@@ -152,63 +121,12 @@ func (h *farHeap) pop(slab []event) uint32 {
 	return top
 }
 
-// hkeyEntry records one pending slack-carrying event for the horizon
-// bound: at is its firing cycle (for lazy cleanup once the clock has
-// passed it), hkey its horizon key at + slack.
-type hkeyEntry struct{ at, hkey Cycle }
-
-// hkeyHeap is a concrete min-heap of hkeyEntry ordered by hkey, moving
-// values without interface boxing; it holds only the rare slack>0
-// events, so its operations stay off the hot path.
-type hkeyHeap []hkeyEntry
-
-func (h *hkeyHeap) push(en hkeyEntry) {
-	*h = append(*h, en)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].hkey <= (*h)[i].hkey {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *hkeyHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		min := l
-		if r < n && old[r].hkey < old[l].hkey {
-			min = r
-		}
-		if old[min].hkey >= old[i].hkey {
-			break
-		}
-		old[i], old[min] = old[min], old[i]
-		i = min
-	}
-}
-
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
 	now Cycle
-	// seq counts locally-created events; seqBase is the engine's shard
-	// index shifted to seqShardShift (0 for a serial engine). Every
-	// event this engine creates is stamped seqBase|seq, so stamps from
-	// different shards never collide and compare as (shard, counter).
-	seq     uint64
-	seqBase uint64
-	cnt     int // scheduled events not yet executed
+	seq uint64 // events scheduled so far: the next event's tie-break stamp
+	cnt int    // scheduled events not yet executed
 
 	// Calendar queue state. Each pending event is a record in slab; the
 	// buckets and the far heap hold slot indices, and free lists the
@@ -248,37 +166,16 @@ type Engine struct {
 	onStall      func(now, sinceProgress Cycle)
 	lastProgress Cycle
 	stalled      bool
-
-	// Sharded-execution state (see shard.go). A serial engine has
-	// shard 0, lookahead 0, and an always-empty outbox: Post to any
-	// engine sharing the process is then a plain AtEvent. Under a
-	// ShardedEngine each member engine is owned by one worker
-	// goroutine; cross-engine Posts stage in the outbox and are merged
-	// at the next quantum barrier in (at, srcShard, srcSeq) order.
-	shard     int
-	lookahead Cycle
-	group     *ShardedEngine // nil for a serial engine
-	minPost   []Cycle        // per-destination-shard Post floor (the lookahead matrix row)
-	gather    []outPost      // reusable merge scratch for inbound lane drains
-
-	// Horizon bookkeeping for dynamic lookahead (see minHkey): slack0
-	// counts pending zero-slack events; slackLog tracks the pending
-	// slack>0 events' horizon keys, cleaned lazily once the clock has
-	// passed their cycles.
-	slack0   int
-	slackLog hkeyHeap
 }
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
 // carveBuckets seeds every bucket with room for a few slot indices
-// carved from one backing array: growing 1024 bucket slices from nil costs
-// thousands of doubling reallocations per engine, which multiplies by
-// the worker count under a ShardedEngine and shows up as per-worker
-// allocs/op growth. One allocation here replaces the first few
-// doublings of each bucket; hot buckets still grow past the carve on
-// their own.
+// carved from one backing array: growing 1024 bucket slices from nil
+// costs thousands of doubling reallocations per engine. One allocation
+// here replaces the first few doublings of each bucket; hot buckets
+// still grow past the carve on their own.
 func (e *Engine) carveBuckets() {
 	const seedCap = 4
 	backing := make([]uint32, calWindow*seedCap)
@@ -294,17 +191,6 @@ func (e *Engine) Now() Cycle { return e.now }
 // Pending reports the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return e.cnt }
 
-// slackLogged reports whether an event's slack is worth tracking in
-// the slackLog: only a promise that can widen a window past the static
-// per-hop floor, and only on a sharded member engine (a serial engine
-// never computes horizons). Everything else counts in slack0 — an
-// under-promise, which is always sound — so the common small-slack
-// events (issue gaps of a few cycles) never touch the heap and the log
-// stays tiny (barrier-scale promises only).
-func (e *Engine) slackLogged(ev *event) bool {
-	return e.group != nil && ev.slack > e.lookahead
-}
-
 // slot returns a free slab slot for a new record, growing the slab only
 // when every slot holds a pending event.
 func (e *Engine) slot() uint32 {
@@ -318,29 +204,14 @@ func (e *Engine) slot() uint32 {
 }
 
 // schedule enqueues the record in slot s (its at already clamped to
-// >= now).
+// >= now). Every new record carries the highest seq yet, so appending
+// keeps a bucket in (at, seq) order.
 func (e *Engine) schedule(s uint32) {
 	ev := &e.slab[s]
 	e.cnt++
-	if e.slackLogged(ev) {
-		e.slackLog.push(hkeyEntry{at: ev.at, hkey: ev.at + ev.slack})
-	} else {
-		e.slack0++
-	}
 	if ev.at < e.now+calWindow {
 		b := &e.buckets[ev.at&calMask]
 		b.ev = append(b.ev, s)
-		// Keep the bucket in key order. Locally-created events arrive
-		// with monotonically increasing (madeAt, seq) stamps, so this
-		// loop runs zero iterations on the hot path; only a
-		// barrier-merged event whose creation-time key orders earlier
-		// walks backwards past locals already appended for the same
-		// cycle. Never past head: a merged delivery is strictly ahead
-		// of the clock, so no already-fired entry moves.
-		for i := len(b.ev) - 1; i > b.head && ev.before(&e.slab[b.ev[i-1]]); i-- {
-			b.ev[i] = b.ev[i-1]
-			b.ev[i-1] = s
-		}
 	} else {
 		e.far.push(e.slab, s)
 	}
@@ -363,7 +234,7 @@ func (e *Engine) schedule(s uint32) {
 // At schedules fn to run at cycle t. Scheduling in the past (t < Now)
 // runs fn at the current cycle instead; the engine never travels
 // backwards.
-func (e *Engine) At(t Cycle, fn func()) { e.AtEventSlack(t, 0, closureActor{}, 0, 0, fn) }
+func (e *Engine) At(t Cycle, fn func()) { e.AtEvent(t, closureActor{}, 0, 0, fn) }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
@@ -375,88 +246,20 @@ func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 // schedule+fire path is allocation-free once the slab and buckets are
 // warm.
 func (e *Engine) AtEvent(t Cycle, a Actor, op int, arg uint64, data any) {
-	e.AtEventSlack(t, 0, a, op, arg, data)
-}
-
-// AfterEvent schedules a closure-free event d cycles from now.
-func (e *Engine) AfterEvent(d Cycle, a Actor, op int, arg uint64, data any) {
-	e.AtEvent(e.now+d, a, op, arg, data)
-}
-
-// AtEventSlack schedules a closure-free event like AtEvent and attaches
-// a horizon promise: firing this event at cycle t causes, transitively
-// through same-shard inline calls and scheduling chains, (a) no
-// cross-engine Post targeting a cycle earlier than t + slack + the
-// pair's lookahead, and (b) no same-shard event whose own (at + slack)
-// is earlier than t + slack. The sharded coordinator uses the promise
-// to widen quantum windows (ShardedEngine run loop); a promise the
-// model cannot keep corrupts cross-shard event ordering, so callers
-// must derive slack from state that bounds their whole downstream
-// chain (stream gaps, fixed barrier costs). Slack never changes firing
-// order, and a serial engine ignores it entirely; 0 is always sound.
-func (e *Engine) AtEventSlack(t, slack Cycle, a Actor, op int, arg uint64, data any) {
 	if t < e.now {
 		t = e.now
 	}
 	s := e.slot()
 	ev := &e.slab[s]
-	ev.at, ev.madeAt, ev.seq, ev.slack = t, e.now, e.seqBase|e.seq, slack
+	ev.at, ev.seq = t, e.seq
 	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
 	e.seq++
 	e.schedule(s)
 }
 
-// minHkey reports a sound lower bound on this engine's horizon: the
-// minimum (at + slack) over pending events. The cheap form exploits
-// that slack>0 events are rare: while any zero-slack event is pending
-// the earliest cycle itself is the bound (hkey >= at >= peek for every
-// event), and only when the queue holds nothing but slack-carrying
-// events does the slackLog's top decide. slackLog entries for already-
-// fired events are removed lazily once the clock reaches their cycle.
-// Dropping an entry whose same-cycle event is in fact still pending is
-// sound — the fallback is peek(), which under-promises — and dropping
-// is required for liveness: a fired event's entry on an engine whose
-// clock then parks at that exact cycle would otherwise lower-bound the
-// horizon forever and wedge every other shard's window behind it.
-func (e *Engine) minHkey() Cycle {
-	if e.cnt == 0 {
-		return cycleMax
-	}
-	if e.slack0 > 0 {
-		at, _ := e.peek()
-		return at
-	}
-	for len(e.slackLog) > 0 && e.slackLog[0].at <= e.now {
-		e.slackLog.pop()
-	}
-	if len(e.slackLog) == 0 {
-		at, _ := e.peek()
-		return at
-	}
-	return e.slackLog[0].hkey
-}
-
-// insertMerged enqueues one cross-shard event delivered by the barrier
-// drain, keeping the (srcShard, srcSeq) stamp the source engine packed
-// into ev.seq at Post time and the staged slack promise. The stamp is
-// deliberately NOT reassigned here: a drain-time stamp would make the
-// firing order between a merged event and a local event at the same
-// cycle depend on where the window boundary fell, which is exactly the
-// schedule-dependence the window-fuzz contract forbids. A delivery at
-// or behind the local clock means the window grant was unsound (a
-// lookahead matrix entry below the model's true minimum, or a broken
-// slack promise): sound grants deliver strictly ahead of the
-// destination clock (at >= end[j] > now), so an exactly-at-now arrival
-// is already a broken promise that would silently reorder same-cycle
-// execution — fail loudly instead.
-func (e *Engine) insertMerged(ev event) {
-	if ev.at <= e.now {
-		panic(fmt.Sprintf("sim: shard %d: cross-shard event delivered at cycle %d not strictly ahead of local clock %d (unsound lookahead)",
-			e.shard, ev.at, e.now))
-	}
-	s := e.slot()
-	e.slab[s] = ev
-	e.schedule(s)
+// AfterEvent schedules a closure-free event d cycles from now.
+func (e *Engine) AfterEvent(d Cycle, a Actor, op int, arg uint64, data any) {
+	e.AtEvent(e.now+d, a, op, arg, data)
 }
 
 // migrate restores the calendar invariants after the clock advanced:
@@ -465,8 +268,7 @@ func (e *Engine) insertMerged(ev event) {
 // seq order into buckets that are necessarily empty of that cycle
 // (while any event for cycle c sits in the far heap, c is outside the
 // window, so nothing for c can be bucket-resident); later schedules
-// for that cycle restore seq order via the insertion walk in
-// schedule().
+// for that cycle carry higher seqs and append behind them.
 func (e *Engine) migrate() {
 	for len(e.far) > 0 && e.slab[e.far[0]].at < e.now+calWindow {
 		s := e.far.pop(e.slab)
@@ -604,9 +406,6 @@ func (e *Engine) Step() bool {
 		e.nextValid = false
 	}
 	ev := &e.slab[s]
-	if !e.slackLogged(ev) {
-		e.slack0--
-	}
 	// Copy the dispatch words out and free the slot before firing: the
 	// handler may schedule and so grow (move) the slab, and clearing the
 	// reference words lets the fired message be collected.

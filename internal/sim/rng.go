@@ -22,30 +22,13 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // splitmix64 advances *s and returns the next output of the SplitMix64
-// stream. It is the seeding primitive for both NewRNG and Split.
+// stream. It is NewRNG's seeding primitive.
 func splitmix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Split derives an independent child generator identified by key,
-// without consuming randomness from r: the child's seed is a SplitMix
-// mix of r's current state and the key, so (a) the same (r-state, key)
-// pair always yields the same child — per-shard streams are
-// reproducible from the run seed alone — and (b) distinct keys yield
-// decorrelated streams. Use one parent at a single well-defined point
-// (e.g. machine construction) and a distinct key per shard/component.
-func (r *RNG) Split(key uint64) *RNG {
-	seed := r.s[0] ^ rotl(r.s[2], 19) ^ (key * 0xd1342543de82ef95)
-	sm := seed
-	c := &RNG{}
-	for i := range c.s {
-		c.s[i] = splitmix64(&sm)
-	}
-	return c
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -6,8 +6,9 @@ import "testing"
 // its actor, data word or closure reachable, so the message it carried
 // is collectable as soon as it fires. After a partial Drain every
 // vacated slot is clear and every pending one intact; after Run every
-// slot is vacated and clear. The schedule mixes At closures, AtEvent
-// with pointer data words and AtEventSlack, near and beyond calWindow.
+// slot is vacated and clear. The schedule mixes At closures and
+// AtEvent with pointer and actor data words, near and beyond
+// calWindow.
 func TestSlabReleasesFiredReferences(t *testing.T) {
 	e := NewEngine()
 	a := &nopActor{}
@@ -15,7 +16,7 @@ func TestSlabReleasesFiredReferences(t *testing.T) {
 		c := Cycle(i * 7)
 		e.AtEvent(c, a, i, uint64(i), &struct{ v int }{i})
 		e.At(c+1, func() { a.fired++ })
-		e.AtEventSlack(c+2, 5, a, i, 0, a)
+		e.AtEvent(c+2, a, i, 0, a)
 	}
 	check := func(when string) {
 		t.Helper()

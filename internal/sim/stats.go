@@ -99,15 +99,6 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	return h.acc.Max
 }
 
-// Merge folds o's buckets and summary statistics into h. Sharded runs
-// keep one histogram per shard and merge at collection points.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-	h.acc.Merge(o.acc)
-}
-
 func log2u(v uint64) int {
 	n := 0
 	for v > 1 {
@@ -139,21 +130,6 @@ func (b *BlockProfile) Add(key uint64, d, s uint64) {
 
 // Len reports the number of distinct keys.
 func (b *BlockProfile) Len() int { return len(b.counts) }
-
-// Merge folds o's per-key counts into b, visiting keys in sorted order
-// so the fold is replayable. Sharded runs keep one profile per shard
-// and merge at collection points.
-func (b *BlockProfile) Merge(o *BlockProfile) {
-	keys := make([]uint64, 0, len(o.counts))
-	for k := range o.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		c := o.counts[k]
-		b.Add(k, c[0], c[1])
-	}
-}
 
 // Totals returns the grand totals of primary and secondary events.
 func (b *BlockProfile) Totals() (primary, secondary uint64) {

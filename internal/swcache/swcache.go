@@ -54,9 +54,8 @@ func DefaultConfig() Config {
 	return Config{Entries: 512, Ways: 4}
 }
 
-// Stats counts switch-cache events. Each switch keeps its own instance
-// (shards never share a counter under sharded execution); TotalStats
-// folds them into the fabric-wide roll-up.
+// Stats counts switch-cache events. Each switch keeps its own instance;
+// TotalStats folds them into the fabric-wide roll-up.
 type Stats struct {
 	Inserts     uint64
 	Hits        uint64 // reads served from a switch cache
@@ -84,8 +83,7 @@ type dcache struct {
 	nsets uint64
 	clock uint64
 
-	// stats is this switch's share of the roll-up; only the shard
-	// running the switch ever touches it.
+	// stats is this switch's share of the roll-up.
 	stats Stats
 }
 
@@ -107,7 +105,7 @@ type Fabric struct {
 }
 
 // TotalStats folds every switch's counters into the fabric-wide
-// roll-up. Call it only when the fabric's shards are not executing.
+// roll-up.
 func (f *Fabric) TotalStats() Stats {
 	var s Stats
 	for _, d := range f.caches {

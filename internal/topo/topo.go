@@ -73,7 +73,7 @@ type Hop struct {
 
 // T is a concrete s-stage BMIN. It is immutable after New: every
 // route is a pure function of the endpoints, so a single T may be
-// shared by concurrent shards without synchronization.
+// shared by concurrent simulations without synchronization.
 type T struct {
 	// Nodes is the number of CC-NUMA nodes (processor+memory pairs).
 	Nodes int

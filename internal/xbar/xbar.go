@@ -21,16 +21,13 @@
 //
 // Every coupling between two switches therefore carries a minimum
 // latency: message arrivals pay core + serialization, credit returns
-// pay CreditLatency = core + one flit time. That uniform floor is the
-// lookahead the sharded engine (sim.ShardedEngine) exploits: switches
-// may live on different shard engines, exchanging arrivals and
-// credits through cross-shard Posts, and the quantum-synchronized run
-// is cycle-identical to the serial one. To keep same-cycle event
-// order unobservable, arbitration is coalesced: arrivals and credits
-// only land state and arm a per-switch arbitration pass that runs
-// after every landing of that cycle (the engine fires same-cycle
-// events in scheduling order, so a pass armed *during* cycle T runs
-// after everything pre-scheduled for T).
+// pay CreditLatency = core + one flit time (HopLatency). Arbitration
+// is coalesced: arrivals and credits only land state and arm a
+// per-switch arbitration pass that runs after every landing of that
+// cycle (the engine fires same-cycle events in scheduling order, so a
+// pass armed *during* cycle T runs after everything pre-scheduled for
+// T). The pass therefore sees the cycle's complete state, whatever
+// order that cycle's landings were scheduled in.
 //
 // A Snooper (the switch directory, package sdir) may be attached to
 // every switch. It observes each Table-1 message as the message is
@@ -109,71 +106,34 @@ type Stats struct {
 	DegradedHops uint64 // traversals of a dead (degraded-forwarding) switch
 }
 
-// add accumulates o into s (per-domain roll-up, see TotalStats).
-func (s *Stats) add(o *Stats) {
-	s.Sent += o.Sent
-	s.Delivered += o.Delivered
-	s.Sunk += o.Sunk
-	s.Generated += o.Generated
-	s.FlitHops += o.FlitHops
-	s.QueueWait += o.QueueWait
-	s.Retransmits += o.Retransmits
-	s.Reroutes += o.Reroutes
-	s.Unroutable += o.Unroutable
-	s.DegradedHops += o.DegradedHops
-}
-
-// domain is the slice of network state owned by one engine (one shard
-// goroutine, or the whole network in serial mode): its stats shard,
-// its tx freelist, and its message-ID stream. Nothing in a domain is
-// ever touched from another shard's engine, so the sharded run needs
-// no locks on the hot path.
-type domain struct {
-	eng   *sim.Engine
-	shard int
-	stats Stats
-	// maxHops sizes a fresh tx's hop buffer: topo.T.MaxHops, the
-	// longest canonical route.
-	maxHops int
-	// txFree recycles tx wrappers and their hop buffers: one is live per
-	// in-flight message, dying at final-hop delivery or a snoop sink, so
-	// the steady-state send path allocates nothing. A tx may be freed
-	// into a different domain than it was allocated from (it travels
-	// with the message); freelists only ever shrink and grow on their
-	// own engine.
-	txFree []*tx
-	// nextID feeds message-ID assignment. IDs carry the domain's shard
-	// index in the low byte so streams from different shards never
-	// collide; IDs are only ever compared for equality (dedup maps), so
-	// the encoding is unobservable in simulation results.
-	nextID uint64
-}
-
 // newTx hands out a recycled (zeroed) tx, or a fresh one when the
 // freelist is dry. Either way its hop buffer is empty and, unless a
 // fault detour replaced it, holds any canonical route.
-func (d *domain) newTx() *tx {
-	if len(d.txFree) == 0 {
-		return &tx{hops: make([]topo.Hop, 0, d.maxHops)}
+func (n *Network) newTx() *tx {
+	if len(n.txFree) == 0 {
+		return &tx{hops: make([]topo.Hop, 0, n.maxHops)}
 	}
-	t := d.txFree[len(d.txFree)-1]
-	d.txFree = d.txFree[:len(d.txFree)-1]
+	t := n.txFree[len(n.txFree)-1]
+	n.txFree = n.txFree[:len(n.txFree)-1]
 	return t
 }
 
 // freeTx returns a finished tx to the freelist, keeping its hop
 // buffer's backing array. The caller must hold the only reference (the
 // tx has left every queue).
-func (d *domain) freeTx(t *tx) {
+func (n *Network) freeTx(t *tx) {
 	*t = tx{hops: t.hops[:0]}
-	d.txFree = append(d.txFree, t)
+	n.txFree = append(n.txFree, t)
 }
 
-// assignID gives m a fresh network ID from this domain's stream.
-func (d *domain) assignID(m *mesg.Message) {
+// assignID gives m a fresh network ID. The low byte is always 1: IDs
+// are only ever compared for equality (dedup maps), so the encoding is
+// unobservable in simulation results, but message traces and their
+// hashes record it.
+func (n *Network) assignID(m *mesg.Message) {
 	if m.ID == 0 {
-		d.nextID++
-		m.ID = d.nextID<<8 | uint64(d.shard+1)
+		n.nextID++
+		m.ID = n.nextID<<8 | 1
 	}
 }
 
@@ -269,7 +229,6 @@ type outLink struct {
 type swc struct {
 	id  topo.SwitchID
 	ord int               // topo.SwitchOrdinal(id), for event-arg encoding
-	dom *domain           // owning shard domain (serial: the one domain)
 	in  [][VCsPerPort]vcq // indexed by input port
 	out []outLink         // indexed by output port
 	ups []upstream        // indexed by input port
@@ -277,8 +236,7 @@ type swc struct {
 	// credit, injection, link-free) of a cycle schedules one opArb pass
 	// for this switch at that cycle; later landings see it armed. The
 	// pass therefore always observes the cycle's complete state, which
-	// makes same-cycle landing order unobservable — the keystone of
-	// serial/sharded equivalence.
+	// makes same-cycle landing order unobservable.
 	arbArmed bool
 	arbAt    sim.Cycle
 	// cand is the candidate index the arbiter grants from, kept current
@@ -299,7 +257,7 @@ type swc struct {
 
 // Network is the full BMIN with endpoint attachment points.
 type Network struct {
-	eng       *sim.Engine // serial/diagnostics engine (doms[0] before sharding)
+	eng       *sim.Engine
 	tp        *topo.T
 	cfg       Config
 	core      sim.Cycle
@@ -318,16 +276,20 @@ type Network struct {
 	injProc []injLink
 	injMem  []injLink
 
-	// doms holds one state domain per engine; swc.dom and
-	// procDom/memDom index into it. Serial mode has exactly one.
-	doms    []*domain
-	procDom []*domain
-	memDom  []*domain
+	stats Stats
+	// maxHops sizes a fresh tx's hop buffer: topo.T.MaxHops, the
+	// longest canonical route.
+	maxHops int
+	// txFree recycles tx wrappers and their hop buffers: one is live per
+	// in-flight message, dying at final-hop delivery or a snoop sink, so
+	// the steady-state send path allocates nothing.
+	txFree []*tx
+	// nextID feeds message-ID assignment (assignID).
+	nextID uint64
 
 	// Fault state (see faults.go). nFaults gates every fault-aware
 	// branch: while zero, behaviour is bit-identical to the
-	// fault-oblivious fabric. Fault injection is a serial-only feature
-	// (core rejects fault plans in sharded mode).
+	// fault-oblivious fabric.
 	nFaults      int
 	downLinks    []topo.Link
 	downSwitches []topo.SwitchID
@@ -338,8 +300,8 @@ type Network struct {
 	Fail func(error)
 
 	// Trace, when set, observes every message lifecycle event:
-	// "send", "sink", "gen", "deliver". For debugging protocols;
-	// serial-only (core rejects Trace in sharded mode).
+	// "send", "sink", "gen", "deliver". For debugging protocols and
+	// the protocol monitor (check.Monitor).
 	Trace func(event string, at sim.Cycle, m *mesg.Message)
 }
 
@@ -356,7 +318,6 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 	if cfg.VCQueueMsgs == 0 {
 		cfg.VCQueueMsgs = DefaultVCQueueMsgs
 	}
-	d := &domain{eng: eng, maxHops: tp.MaxHops()}
 	n := &Network{
 		eng:       eng,
 		tp:        tp,
@@ -367,146 +328,25 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 		memH:      make([]Handler, tp.Nodes),
 		injProc:   make([]injLink, tp.Nodes),
 		injMem:    make([]injLink, tp.Nodes),
-		doms:      []*domain{d},
-		procDom:   make([]*domain, tp.Nodes),
-		memDom:    make([]*domain, tp.Nodes),
-	}
-	for i := 0; i < tp.Nodes; i++ {
-		n.procDom[i] = d
-		n.memDom[i] = d
+		maxHops:   tp.MaxHops(),
 	}
 	n.build()
 	return n
 }
 
-// Lookahead reports the minimum latency of any switch-to-switch
-// coupling (message arrival or credit return): the conservative-PDES
-// lookahead a sharded run of this network may use as its quantum.
-func (n *Network) Lookahead() sim.Cycle { return n.creditLat }
+// HopLatency reports the minimum latency of any switch-to-switch
+// coupling, message arrival or credit return: the switch core plus one
+// flit time.
+func (n *Network) HopLatency() sim.Cycle { return n.creditLat }
 
-// Lookahead reports the sharding lookahead a network built from this
-// configuration will have, without constructing it: the machine needs
-// the value to size its engine group before the network exists.
-func (c Config) Lookahead() sim.Cycle {
-	core := c.CoreCycles
-	if core == 0 {
-		core = DefaultCoreCycles
-	}
-	return core + mesg.LinkCyclesPerFlit
-}
-
-// LookaheadMatrix reports the per-shard-pair lookahead floors of the
-// sharded fabric: entry [i][j] is the minimum number of cycles before
-// anything shard i does can be observed by shard j. Both couplings a
-// physical link carries — message arrival downstream (switch core +
-// one flit serialization) and credit return upstream (the same sum) —
-// cost at least Lookahead() per link crossed, so the entry for a pair
-// of shards is Lookahead() times the link distance between their
-// switch domains (all-pairs shortest path over the link topology).
-// Pairs whose domains share no fabric path keep a huge-but-finite
-// sentinel: the fabric alone never couples them, and callers wiring
-// non-fabric couplings (e.g. the workload driver's control channel)
-// must clamp the affected entries down before handing the matrix to
-// ShardedEngine.SetLookaheadMatrix. Call after Shard.
-func (n *Network) LookaheadMatrix() [][]sim.Cycle {
-	k := len(n.doms)
-	const far = sim.Cycle(1) << 40
-	m := make([][]sim.Cycle, k)
-	for i := range m {
-		m[i] = make([]sim.Cycle, k)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = far
-			}
-		}
-	}
-	for si := range n.switches {
-		sw := &n.switches[si]
-		for _, ol := range sw.out {
-			if ol.toSwitch < 0 {
-				continue // endpoint link: co-located by Shard's invariant
-			}
-			a, b := sw.dom.shard, n.switches[ol.toSwitch].dom.shard
-			if a == b {
-				continue
-			}
-			if n.creditLat < m[a][b] {
-				m[a][b] = n.creditLat // arrivals downstream
-			}
-			if n.creditLat < m[b][a] {
-				m[b][a] = n.creditLat // credit returns upstream
-			}
-		}
-	}
-	for mid := 0; mid < k; mid++ {
-		for i := 0; i < k; i++ {
-			if m[i][mid] >= far {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if d := m[i][mid] + m[mid][j]; d < m[i][j] {
-					m[i][j] = d
-				}
-			}
-		}
-	}
-	return m
-}
-
-// Shard partitions the fabric across per-shard engines: engs[i] runs
-// shard i, swShard assigns each switch ordinal, and procShard/memShard
-// assign each node's processor-side and memory-side NI. Endpoint links
-// are synchronous (injection reserves buffer slots directly), so every
-// NI must be co-located with the switch it attaches to; switch-to-
-// switch links may cross shards because both directions (arrivals and
-// credits) carry at least Lookahead() cycles. Must be called before
-// any traffic is injected.
-func (n *Network) Shard(engs []*sim.Engine, swShard, procShard, memShard []int) {
-	n.doms = make([]*domain, len(engs))
-	for i, e := range engs {
-		n.doms[i] = &domain{eng: e, shard: i, maxHops: n.tp.MaxHops()}
-	}
-	for i := range n.switches {
-		n.switches[i].dom = n.doms[swShard[n.switches[i].ord]]
-	}
-	for i := 0; i < n.tp.Nodes; i++ {
-		leaf := n.tp.SwitchOrdinal(n.tp.LeafOf(i))
-		top := n.tp.SwitchOrdinal(n.tp.TopOf(i))
-		if procShard[i] != swShard[leaf] {
-			panic(fmt.Sprintf("xbar: proc %d on shard %d but its leaf switch on %d", i, procShard[i], swShard[leaf]))
-		}
-		if memShard[i] != swShard[top] {
-			panic(fmt.Sprintf("xbar: mem %d on shard %d but its top switch on %d", i, memShard[i], swShard[top]))
-		}
-		n.procDom[i] = n.doms[procShard[i]]
-		n.memDom[i] = n.doms[memShard[i]]
-	}
-}
-
-// TotalStats rolls up the per-domain stats shards. Call it only when
-// the engines are quiescent (between runs or at a barrier).
-func (n *Network) TotalStats() Stats {
-	var s Stats
-	for _, d := range n.doms {
-		s.add(&d.stats)
-	}
-	return s
-}
-
-// endDom returns the domain owning an endpoint NI.
-func (n *Network) endDom(e mesg.End) *domain {
-	if e.Side == mesg.ProcSide {
-		return n.procDom[e.Node]
-	}
-	return n.memDom[e.Node]
-}
+// TotalStats reports the network's counters.
+func (n *Network) TotalStats() Stats { return n.stats }
 
 // build wires switches and links from the topology's Peer oracle, so
 // the same code covers every stage count. Port arrays and candidate
 // index words are carved from fabric-wide slabs in ordinal
-// (stage-major) order: a rank's — and hence a shard subtree's — switch
-// state is contiguous in memory, and construction allocates per fabric
-// instead of per switch.
+// (stage-major) order: a rank's switch state is contiguous in memory,
+// and construction allocates per fabric instead of per switch.
 func (n *Network) build() {
 	tp := n.tp
 	r := tp.Radix
@@ -524,7 +364,6 @@ func (n *Network) build() {
 		s := &n.switches[ord]
 		s.id = tp.OrdinalSwitch(ord)
 		s.ord = ord
-		s.dom = n.doms[0]
 		s.in = inSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
 		s.out = outSlab[ord*nout : (ord+1)*nout : (ord+1)*nout]
 		s.ups = upsSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
@@ -662,7 +501,7 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 	case opInjArrive:
 		t := data.(*tx)
 		sw := &n.switches[arg]
-		t.enqueued = sw.dom.eng.Now()
+		t.enqueued = n.eng.Now()
 		p, v := len(sw.in)-1, vcFor(t.m)
 		sw.in[p][v].push(t)
 		n.reindex(sw, p, v)
@@ -673,20 +512,19 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 // Send injects m at its source endpoint. Delivery is asynchronous via
 // the attached handler. The message's ID is assigned if zero.
 func (n *Network) Send(m *mesg.Message) {
-	dom := n.endDom(m.Src)
-	dom.assignID(m)
-	dom.stats.Sent++
+	n.assignID(m)
+	n.stats.Sent++
 	if n.Trace != nil {
-		n.Trace("send", dom.eng.Now(), m)
+		n.Trace("send", n.eng.Now(), m)
 	}
-	t := dom.newTx()
+	t := n.newTx()
 	t.hops = n.route(t.hops, m)
 	hops, canon, ok := n.routeOrFail(t.hops, m)
 	if !ok {
-		dom.freeTx(t)
+		n.freeTx(t)
 		return
 	}
-	t.m, t.hops, t.canon, t.injected = m, hops, canon, dom.eng.Now()
+	t.m, t.hops, t.canon, t.injected = m, hops, canon, n.eng.Now()
 	var il *injLink
 	if m.Src.Side == mesg.ProcSide {
 		il = &n.injProc[m.Src.Node]
@@ -698,9 +536,7 @@ func (n *Network) Send(m *mesg.Message) {
 }
 
 // pumpInjection moves pending endpoint messages onto the first
-// switch's input queue as link time and buffer space allow. The NI and
-// its switch always share a domain (enforced by Shard), so the direct
-// queue reservation is shard-safe.
+// switch's input queue as link time and buffer space allow.
 func (n *Network) pumpInjection(il *injLink) {
 	for len(il.pending) > 0 {
 		t := il.pending[0]
@@ -711,8 +547,7 @@ func (n *Network) pumpInjection(il *injLink) {
 		if len(q.q) >= n.cfg.VCQueueMsgs {
 			return // retried when the queue drains (credit return)
 		}
-		eng := sw.dom.eng
-		now := eng.Now()
+		now := n.eng.Now()
 		start := now
 		if il.freeAt > start {
 			start = il.freeAt
@@ -727,7 +562,7 @@ func (n *Network) pumpInjection(il *injLink) {
 		arrive := start + ser
 		// Reserve the buffer slot now so concurrent senders see it.
 		q.push(nil) // placeholder; replaced at arrival
-		eng.AtEvent(arrive, n, opArrive, qArg(sw.ord, h.In, vc), t)
+		n.eng.AtEvent(arrive, n, opArrive, qArg(sw.ord, h.In, vc), t)
 	}
 }
 
@@ -737,7 +572,7 @@ func (n *Network) pumpInjection(il *injLink) {
 // decision itself runs in the coalesced end-of-landings pass.
 func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 	q := &sw.in[p][v]
-	t.enqueued = sw.dom.eng.Now()
+	t.enqueued = n.eng.Now()
 	if sw.ups[p].fromSwitch < 0 {
 		for i, e := range q.q {
 			if e == nil {
@@ -807,13 +642,12 @@ func (n *Network) armArb(sw *swc) {
 	if none(sw.live) {
 		return // no candidate can exist; nothing to arbitrate
 	}
-	eng := sw.dom.eng
-	now := eng.Now()
+	now := n.eng.Now()
 	if sw.arbArmed && sw.arbAt == now {
 		return
 	}
 	sw.arbArmed, sw.arbAt = true, now
-	eng.AtEvent(now, n, opArb, uint64(sw.ord), nil)
+	n.eng.AtEvent(now, n, opArb, uint64(sw.ord), nil)
 }
 
 // runArb is one coalesced arbitration pass over sw's outputs that have
@@ -828,7 +662,7 @@ func (n *Network) armArb(sw *swc) {
 // cycle.
 func (n *Network) runArb(sw *swc) {
 	sw.arbArmed = false
-	now := sw.dom.eng.Now()
+	now := n.eng.Now()
 	for {
 		copy(sw.sweep, sw.live)
 		granted := false
@@ -854,11 +688,10 @@ func (n *Network) runArb(sw *swc) {
 // this output whose downstream buffer credit allows it. It reports
 // whether at least one message was granted.
 func (n *Network) tryOutput(sw *swc, out topo.Port) bool {
-	eng := sw.dom.eng
 	ol := &sw.out[out]
 	any := false
 	for {
-		if ol.freeAt > eng.Now() {
+		if ol.freeAt > n.eng.Now() {
 			// Busy: an opArbTrigger is already scheduled for freeAt.
 			return any
 		}
@@ -903,8 +736,6 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	q := &sw.in[p][v]
 	t := q.head()
 	ol := &sw.out[out]
-	dom := sw.dom
-	eng := dom.eng
 	// Check downstream credit before snooping: a blocked message has
 	// not yet entered the switch pipeline.
 	if ol.toSwitch >= 0 && ol.credit[vcFor(t.m)] == 0 {
@@ -912,8 +743,8 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	}
 	q.pop()
 	n.reindex(sw, p, v)
-	now := eng.Now()
-	dom.stats.QueueWait += uint64(now - t.enqueued)
+	now := n.eng.Now()
+	n.stats.QueueWait += uint64(now - t.enqueued)
 
 	// Snoop: the switch directory (and/or switch cache) observes the
 	// message in parallel with the switch core (Section 4.2). The
@@ -926,7 +757,7 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		// dead, so the snoop is skipped and the traversal pays the
 		// maintenance-bypass penalty.
 		extra = DegradedPenalty
-		dom.stats.DegradedHops++
+		n.stats.DegradedHops++
 		t.skipSnoopOnce = false
 	} else if t.skipSnoopOnce {
 		t.skipSnoopOnce = false
@@ -934,26 +765,26 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		act := n.cfg.Snoop.Snoop(sw.id, t.m, now)
 		extra = act.ExtraDelay
 		for _, g := range act.Generated {
-			dom.stats.Generated++
+			n.stats.Generated++
 			if n.Trace != nil {
 				n.Trace(fmt.Sprintf("gen@%v", sw.id), now, g)
 			}
 			n.injectAt(sw, g, now+extra)
 		}
 		if act.Sink {
-			dom.stats.Sunk++
+			n.stats.Sunk++
 			if n.Trace != nil {
 				n.Trace(fmt.Sprintf("sink@%v", sw.id), now, t.m)
 			}
 			n.afterPop(sw, p, v)
-			dom.freeTx(t)
+			n.freeTx(t)
 			return true
 		}
 	}
 
 	start := now + extra
 	ser := sim.Cycle(t.m.Flits() * mesg.LinkCyclesPerFlit)
-	dom.stats.FlitHops += uint64(t.m.Flits())
+	n.stats.FlitHops += uint64(t.m.Flits())
 	if ol.corrupt != nil {
 		if retries := n.linkRetries(ol); retries > 0 {
 			// Corrupted transmissions are rejected by the receiver's
@@ -961,8 +792,8 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 			// buffer; the link stays occupied for the nack round trip
 			// plus each re-serialization. The downstream credit is
 			// untouched, so flow-control accounting is unaffected.
-			dom.stats.Retransmits += uint64(retries)
-			dom.stats.FlitHops += uint64(retries * t.m.Flits())
+			n.stats.Retransmits += uint64(retries)
+			n.stats.FlitHops += uint64(retries * t.m.Flits())
 			ser += sim.Cycle(retries) * (ser + RetxRoundTrip)
 		}
 	}
@@ -970,25 +801,24 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	arrive := start + n.core + ser
 
 	if ol.toSwitch < 0 {
-		eng.Post(n.endDom(ol.toEnd).eng, arrive, n, opDeliver, endArg(ol.toEnd), t.m)
-		dom.freeTx(t) // the message travels on alone; the wrapper is done
+		n.eng.AtEvent(arrive, n, opDeliver, endArg(ol.toEnd), t.m)
+		n.freeTx(t) // the message travels on alone; the wrapper is done
 	} else {
 		t.hopIdx++
 		ol.credit[vcFor(t.m)]--
-		eng.Post(n.switches[ol.toSwitch].dom.eng, arrive, n,
-			opArrive, qArg(ol.toSwitch, ol.toPort, vcFor(t.m)), t)
+		n.eng.AtEvent(arrive, n, opArrive, qArg(ol.toSwitch, ol.toPort, vcFor(t.m)), t)
 	}
 	// When the link frees, arm arbitration again for this switch.
-	eng.AtEvent(ol.freeAt, n, opArbTrigger, uint64(sw.ord)<<32|uint64(uint32(out)), nil)
+	n.eng.AtEvent(ol.freeAt, n, opArbTrigger, uint64(sw.ord)<<32|uint64(uint32(out)), nil)
 	n.afterPop(sw, p, v)
 	return true
 }
 
 // afterPop returns the drained slot of input queue (p, v) to whoever
-// feeds it: an endpoint injection link is pumped synchronously (always
-// same-domain), an upstream switch receives a credit event after
-// CreditLatency cycles (credit-flit serialization plus its core) —
-// possibly across shards. Head re-arbitration is the arb pass's job.
+// feeds it: an endpoint injection link is pumped synchronously, an
+// upstream switch receives a credit event after CreditLatency cycles
+// (credit-flit serialization plus its core). Head re-arbitration is
+// the arb pass's job.
 func (n *Network) afterPop(sw *swc, p, v int) {
 	if p == len(sw.in)-1 {
 		// Internal injection block: the snooper's queue has no
@@ -1006,25 +836,22 @@ func (n *Network) afterPop(sw *swc, p, v int) {
 		n.pumpInjection(il)
 		return
 	}
-	eng := sw.dom.eng
-	eng.Post(n.switches[up.fromSwitch].dom.eng, eng.Now()+n.creditLat, n,
-		opCredit, qArg(up.fromSwitch, up.fromPort, v), nil)
+	n.eng.AtEvent(n.eng.Now()+n.creditLat, n, opCredit, qArg(up.fromSwitch, up.fromPort, v), nil)
 }
 
 // injectAt places a snooper-generated message in this switch's
 // internal injection block, with its route computed from this switch.
 func (n *Network) injectAt(sw *swc, m *mesg.Message, when sim.Cycle) {
-	dom := sw.dom
-	dom.assignID(m)
-	t := dom.newTx()
+	n.assignID(m)
+	t := n.newTx()
 	t.hops = n.routeFrom(t.hops, sw, m)
 	hops, canon, ok := n.routeOrFail(t.hops, m)
 	if !ok {
-		dom.freeTx(t)
+		n.freeTx(t)
 		return
 	}
 	t.m, t.hops, t.canon, t.injected, t.skipSnoopOnce = m, hops, canon, when, true
-	dom.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
+	n.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
 }
 
 // routeFrom appends to buf the route of a message created inside
@@ -1036,10 +863,9 @@ func (n *Network) routeFrom(buf []topo.Hop, sw *swc, m *mesg.Message) []topo.Hop
 
 // deliverEnd hands a message to the endpoint handler.
 func (n *Network) deliverEnd(e mesg.End, m *mesg.Message) {
-	dom := n.endDom(e)
-	dom.stats.Delivered++
+	n.stats.Delivered++
 	if n.Trace != nil {
-		n.Trace("deliver", dom.eng.Now(), m)
+		n.Trace("deliver", n.eng.Now(), m)
 	}
 	var h Handler
 	if e.Side == mesg.ProcSide {
@@ -1054,8 +880,6 @@ func (n *Network) deliverEnd(e mesg.End, m *mesg.Message) {
 }
 
 // Quiesced reports whether the network holds no in-flight messages.
-// In sharded mode it reads every shard's queues, so it may only be
-// called while the shard engines are stopped (between runs).
 func (n *Network) Quiesced() bool {
 	for i := range n.injProc {
 		if len(n.injProc[i].pending) > 0 || len(n.injMem[i].pending) > 0 {

@@ -13,7 +13,7 @@
 #    serve-mix's count.polls is left out: it counts status polls made at
 #    a fixed wall-clock interval. Neither is gated, because an intended
 #    protocol change must be able to move them; the go test bit-identity
-#    pins (the zero-fault cycle counts, TestSerialShardedDifferential,
+#    pins (the zero-fault cycle counts, TestCorpusPinned,
 #    the TestRandomTrafficAllConfigs hashes, TestSnoopStreamGolden) are
 #    what enforce them.
 # 4. Fails when this checkout's traced bigfft has live_heap_mb.256n at or

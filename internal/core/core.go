@@ -368,10 +368,10 @@ func (m *Machine) Home(addr uint64) int {
 //	cycle<<stampCycleShift | node<<stampNodeShift | counter
 //
 // makes stamping a node-local operation, with no shared counter, while
-// preserving every ordering the protocol relies on: two stamps of the *same* block are always separated by an
-// ownership transfer through the network, so their cycle fields differ
-// and order them; same-node same-cycle stamps are ordered by the
-// counter. The node field only breaks ties between stamps of different
+// preserving every ordering the protocol relies on: two stamps of the
+// *same* block are always separated by an ownership transfer through
+// the network, so their cycle fields differ and order them; same-node
+// same-cycle stamps are ordered by the counter. The node field only breaks ties between stamps of different
 // blocks, which no protocol decision compares.
 const (
 	stampNodeShift  = 8

@@ -110,9 +110,9 @@ func RunOne(app string, scale Scale, entries int) (Result, error) {
 // RunOneCtx executes one (app, entries) cell under a cancellation
 // context: the simulation polls ctx cooperatively (execution-driven:
 // every few events; trace-driven: every few thousand records) and a
-// cancelled or deadline-exceeded
-// context aborts the run with a *core.AbortError, wrapped so
-// errors.As finds it, alongside the partial Result measured so far.
+// cancelled or deadline-exceeded context aborts the run with a
+// *core.AbortError, wrapped so errors.As finds it, alongside the
+// partial Result measured so far.
 func RunOneCtx(ctx context.Context, app string, scale Scale, entries int) (Result, error) {
 	if Commercial(app) {
 		return runCommercial(ctx, app, scale, entries)

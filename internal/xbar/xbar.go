@@ -108,10 +108,10 @@ type Stats struct {
 
 // newTx hands out a recycled (zeroed) tx, or a fresh one when the
 // freelist is dry. Either way its hop buffer is empty and, unless a
-// fault detour replaced it, holds any canonical route.
+// fault detour replaced it, holds any canonical route (topo.T.MaxHops).
 func (n *Network) newTx() *tx {
 	if len(n.txFree) == 0 {
-		return &tx{hops: make([]topo.Hop, 0, n.maxHops)}
+		return &tx{hops: make([]topo.Hop, 0, n.tp.MaxHops())}
 	}
 	t := n.txFree[len(n.txFree)-1]
 	n.txFree = n.txFree[:len(n.txFree)-1]
@@ -277,9 +277,6 @@ type Network struct {
 	injMem  []injLink
 
 	stats Stats
-	// maxHops sizes a fresh tx's hop buffer: topo.T.MaxHops, the
-	// longest canonical route.
-	maxHops int
 	// txFree recycles tx wrappers and their hop buffers: one is live per
 	// in-flight message, dying at final-hop delivery or a snoop sink, so
 	// the steady-state send path allocates nothing.
@@ -328,7 +325,6 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 		memH:      make([]Handler, tp.Nodes),
 		injProc:   make([]injLink, tp.Nodes),
 		injMem:    make([]injLink, tp.Nodes),
-		maxHops:   tp.MaxHops(),
 	}
 	n.build()
 	return n

@@ -78,10 +78,11 @@ type Config struct {
 	// still fire, the run stops with a *StallError. 0 disables.
 	Watchdog sim.Cycle
 
-	// ShardWorkers is read by nothing: New accepts any value and
-	// ignores it, and every machine runs on one serial sim.Engine. The
-	// field stays only because the repository benchmark (bench/) still
-	// assigns it; the next change to the benchmark removes it.
+	// Deprecated: ShardWorkers is read by nothing. New accepts any
+	// value and ignores it, and every machine runs on one serial
+	// sim.Engine. The field stays only because the repository
+	// benchmark (bench/) still assigns it; the next change to the
+	// benchmark removes it.
 	ShardWorkers int
 }
 
@@ -371,8 +372,9 @@ func (m *Machine) Home(addr uint64) int {
 // preserving every ordering the protocol relies on: two stamps of the
 // *same* block are always separated by an ownership transfer through
 // the network, so their cycle fields differ and order them; same-node
-// same-cycle stamps are ordered by the counter. The node field only breaks ties between stamps of different
-// blocks, which no protocol decision compares.
+// same-cycle stamps are ordered by the counter. The node field only
+// breaks ties between stamps of different blocks, which no protocol
+// decision compares.
 const (
 	stampNodeShift  = 8
 	stampCycleShift = 18 // 10-bit node field: up to 1024 nodes

@@ -129,10 +129,10 @@ func stopProbe(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// ShardWorkers is read by nothing: every cell runs on one serial
-// engine. The variable stays only because the repository benchmark
-// (bench/) still assigns it; the next change to the benchmark removes
-// it.
+// Deprecated: ShardWorkers is read by nothing: every cell runs on one
+// serial engine. The variable stays only because the repository
+// benchmark (bench/) still assigns it; the next change to the
+// benchmark removes it.
 var ShardWorkers int
 
 func runScientific(ctx context.Context, app string, scale Scale, entries int) (Result, error) {

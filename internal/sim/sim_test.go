@@ -234,17 +234,6 @@ func TestAccumulator(t *testing.T) {
 	if a.Mean() != 5 {
 		t.Fatalf("mean = %v, want 5", a.Mean())
 	}
-	var b Accumulator
-	b.Observe(100)
-	a.Merge(b)
-	if a.Count != 5 || a.Max != 100 {
-		t.Fatalf("after merge: %+v", a)
-	}
-	var empty Accumulator
-	a.Merge(empty)
-	if a.Count != 5 {
-		t.Fatalf("merge of empty changed count: %+v", a)
-	}
 }
 
 func TestHistogram(t *testing.T) {

@@ -35,25 +35,6 @@ func (a *Accumulator) Mean() float64 {
 	return float64(a.Sum) / float64(a.Count)
 }
 
-// Merge folds other into a.
-func (a *Accumulator) Merge(other Accumulator) {
-	if other.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		*a = other
-		return
-	}
-	if other.Min < a.Min {
-		a.Min = other.Min
-	}
-	if other.Max > a.Max {
-		a.Max = other.Max
-	}
-	a.Count += other.Count
-	a.Sum += other.Sum
-}
-
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f min=%d max=%d", a.Count, a.Mean(), a.Min, a.Max)
 }

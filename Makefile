@@ -82,7 +82,8 @@ test-race:
 # this checkout in alternating pairs and judged by `bench/run.sh
 # compare`; then one traced run per workload and side, whose
 # figures_digest and count.* differences it prints, and the live-heap
-# ceiling on this checkout's bigfft (256 nodes under 16x 64 nodes).
+# ceiling on this checkout's bigfft (256 nodes under 16x 64 nodes, and
+# 1024 nodes under 16x 256 nodes).
 # The script exits 1 on compare's verdict alone and 2 on any other
 # failure; CI calls it directly to tell the two apart.
 bench:

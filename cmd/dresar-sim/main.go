@@ -21,8 +21,10 @@
 // `go tool pprof -sample_index=inuse_space` shows what it retains).
 //
 // -entries 0 runs the base system with no switch directories. -size is
-// the kernel's input parameter (points for FFT, matrix/grid dimension
-// for the others; 0 uses the paper's Table 2 input).
+// the kernel's input parameter (points for FFT, a power of four; keys
+// for radix, a power of two; matrix/grid dimension for the others, a
+// multiple of 16 for lu; 0 uses the paper's Table 2 input). A negative
+// count or an input the kernel cannot take exactly exits 2.
 //
 // -faults takes a fault-injection plan (see fault.ParsePlan):
 // drop/dup/delay permille rates for home-bound requests, periodic
@@ -40,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -54,7 +57,7 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "fft", "kernel: fft, tc, sor, fwa, gauss")
+	app := flag.String("app", "fft", "kernel: fft, tc, sor, fwa, gauss (or ge), lu, radix")
 	entries := flag.Int("entries", 1024, "switch-directory entries per switch (0 = base system)")
 	size := flag.Int("size", 0, "input size (0 = paper default)")
 	iters := flag.Int("iters", 4, "iterations (SOR only)")
@@ -73,6 +76,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at the end of the run: the in-use heap while the machine is still live, and all allocations")
 	flag.Parse()
+	if err := checkFlags(*app, *size, *iters, *entries, *pending, *swc); err != nil {
+		fmt.Fprintf(os.Stderr, "dresar-sim: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -140,14 +147,12 @@ func main() {
 			if n == 0 {
 				n = 128
 			}
-			w = workload.NewLU(n, 16, *nodes)
+			w = workload.NewLU(n, luBlock, *nodes)
 		case "radix":
 			if n == 0 {
 				n = 1 << 16
 			}
 			w = workload.NewRadix(n, 4, *nodes)
-		default:
-			err = fmt.Errorf("unknown kernel %q", *app)
 		}
 	}
 	fail(err)
@@ -207,6 +212,47 @@ func main() {
 	fmt.Printf("readLatency: p50<=%d p90<=%d p99<=%d max=%d\n",
 		m.ReadLatHist.Percentile(50), m.ReadLatHist.Percentile(90),
 		m.ReadLatHist.Percentile(99), m.ReadLatHist.Max())
+}
+
+// luBlock is the LU kernel's block width; its -size must be a multiple.
+const luBlock = 16
+
+// checkFlags rejects the flag values that main would quietly turn into
+// a different run: a negative count (read as the base system, a
+// feature switched off, or an empty or 1-point kernel), no SOR
+// iterations, an FFT size that NewFFT would round up to a power of
+// four, an LU size that is not whole blocks, a radix key count that is
+// not a power of two, and an unknown kernel.
+func checkFlags(app string, size, iters, entries, pending, swc int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"entries", entries}, {"pending", pending}, {"swcache", swc}, {"size", size}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: want a count >= 0", f.name, f.v)
+		}
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: want at least one iteration", iters)
+	}
+	switch app {
+	case "fft":
+		if size != 0 && (size&(size-1) != 0 || bits.TrailingZeros(uint(size))%2 != 0) {
+			return fmt.Errorf("-size %d: FFT points must be a power of four (a square matrix with a power-of-two side)", size)
+		}
+	case "lu":
+		if size%luBlock != 0 {
+			return fmt.Errorf("-size %d: LU takes a multiple of its %d-wide blocks", size, luBlock)
+		}
+	case "radix":
+		if size&(size-1) != 0 {
+			return fmt.Errorf("-size %d: radix takes a power-of-two key count", size)
+		}
+	case "tc", "sor", "fwa", "gauss", "ge":
+	default:
+		return fmt.Errorf("unknown kernel %q (want fft, tc, sor, fwa, gauss, ge, lu or radix)", app)
+	}
+	return nil
 }
 
 // runSweep regenerates the paper's figure sweep (every app × switch

@@ -23,6 +23,10 @@ func main() {
 	refs := flag.Uint64("refs", 16_000_000, "references (synthetic generation)")
 	entries := flag.Int("entries", 1024, "switch-directory entries per switch (0 = base)")
 	flag.Parse()
+	if err := checkFlags(*in, *refs, *entries); err != nil {
+		fmt.Fprintf(os.Stderr, "dresar-trace: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := tracesim.DefaultConfig()
 	if *entries > 0 {
@@ -68,6 +72,19 @@ func main() {
 	miss, ctoc := s.Profile.CDF([]float64{0.10})
 	fmt.Printf("top10%%Blocks: misses=%.1f%% ctocs=%.1f%% (blocks=%d)\n",
 		100*miss[0], 100*ctoc[0], s.Profile.Len())
+}
+
+// checkFlags rejects the flag values that main would quietly turn into
+// a different run: a negative -entries (read as the base system) and,
+// for a synthetic trace, -refs 0 (an empty run).
+func checkFlags(in string, refs uint64, entries int) error {
+	if entries < 0 {
+		return fmt.Errorf("-entries %d: want a count >= 0", entries)
+	}
+	if in == "" && refs == 0 {
+		return fmt.Errorf("-refs must be positive")
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -60,6 +60,11 @@ type Stats struct {
 // lookups are the hottest operation in the whole simulator, and a
 // 1024-node machine holds 4.7M lines.
 //
+// The arrays are built at the first Insert, since on a big machine
+// most processors may never reference memory. Until then tags holds a
+// single all-noTag set and mask is 0, so find runs its usual loop and
+// misses, and state, data and rank are nil.
+//
 // tags holds each way's tag, with invalid ways holding noTag, so find
 // scans 8 bytes per way (a whole 4-way set fits in one host cache
 // line) and needs no State load: a single uint64 compare decides
@@ -88,7 +93,8 @@ const noTag = ^uint64(0)
 // maxWays is the largest associativity a rank byte can order.
 const maxWays = 256
 
-// New builds a cache from cfg, validating geometry.
+// New builds a cache from cfg, validating geometry. The line arrays
+// are left to the first Insert.
 func New(cfg Config) (*Cache, error) {
 	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size %d not a power of two", cfg.BlockBytes)
@@ -104,21 +110,31 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
 	}
-	c := &Cache{cfg: cfg, tags: make([]uint64, nlines), data: make([]uint64, nlines),
-		state: make([]State, nlines), rank: make([]uint8, nlines), ways: uint64(cfg.Ways)}
+	c := &Cache{cfg: cfg, tags: make([]uint64, cfg.Ways), ways: uint64(cfg.Ways)}
 	for i := range c.tags {
 		c.tags[i] = noTag
-	}
-	for base := 0; base < nlines; base += cfg.Ways {
-		for w := 0; w < cfg.Ways; w++ {
-			c.rank[base+w] = uint8(w)
-		}
 	}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.shift++
 	}
-	c.mask = uint64(nsets - 1)
 	return c, nil
+}
+
+// build gives the cache its line arrays: every way invalid (noTag) and
+// each set's ranks 0..ways-1.
+func (c *Cache) build() {
+	nlines := c.cfg.SizeBytes / c.cfg.BlockBytes
+	c.tags, c.data = make([]uint64, nlines), make([]uint64, nlines)
+	c.state, c.rank = make([]State, nlines), make([]uint8, nlines)
+	for i := range c.tags {
+		c.tags[i] = noTag
+	}
+	for base := 0; base < nlines; base += c.cfg.Ways {
+		for w := 0; w < c.cfg.Ways; w++ {
+			c.rank[base+w] = uint8(w)
+		}
+	}
+	c.mask = uint64(nlines/c.cfg.Ways - 1)
 }
 
 // MustNew is New, panicking on error.
@@ -209,6 +225,9 @@ func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
+	if c.state == nil {
+		c.build()
+	}
 	base := c.setIdx(addr) * c.ways
 	if i := c.find(addr); i >= 0 {
 		c.state[i], c.data[i] = st, data
@@ -270,7 +289,8 @@ func (c *Cache) SetData(addr uint64, data uint64) bool {
 	return false
 }
 
-// Lines calls fn for every valid line; used by invariant checks.
+// Lines calls fn for every valid line; used by invariant checks. An
+// unbuilt cache has none.
 func (c *Cache) Lines(fn func(addr uint64, st State, data uint64)) {
 	for i, st := range c.state {
 		if st != Invalid {

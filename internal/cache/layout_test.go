@@ -223,15 +223,50 @@ func retainedBytes(n int, build func() any) float64 {
 	return best
 }
 
-// TestLineFootprint pins the per-line cost of the Table 2 L1 and L2 at
-// 18 bytes (tag, version, state and rank), plus a 1 KiB allowance for
-// the Cache header. A 1024-node machine holds 4.7M lines.
+// TestLineFootprint pins the per-line cost of a built Table 2 L1 and
+// L2 at 18 bytes (tag, version, state and rank), plus a 1 KiB
+// allowance for the Cache header. A 1024-node machine holds 4.7M
+// lines once every cache is built.
 func TestLineFootprint(t *testing.T) {
 	for _, cfg := range []Config{cfg16k(), cfg128k()} {
 		lines := cfg.SizeBytes / cfg.BlockBytes
-		got := retainedBytes(16, func() any { return MustNew(cfg) })
-		if limit := float64(18*lines + 1024); got > limit {
-			t.Errorf("%d-line cache retains %.0f B (%.2f B/line), want <= %.0f", lines, got, got/float64(lines), limit)
+		got := retainedBytes(16, func() any {
+			c := MustNew(cfg)
+			c.Insert(0, Shared, 1)
+			return c
+		})
+		if limit := float64(18*lines + 1024); got < float64(18*lines) || got > limit {
+			t.Errorf("%d-line cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 18*lines, limit)
 		}
+	}
+}
+
+// TestUnbuiltCache pins what a cache costs before its first Insert:
+// at most 256 bytes plus one set of tags, whatever its size, so the
+// idle processors of a big machine hold no lines. Every lookup misses
+// without building the line arrays, and Lines visits nothing.
+func TestUnbuiltCache(t *testing.T) {
+	big := Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32}
+	for _, cfg := range []Config{cfg16k(), cfg128k(), big, {SizeBytes: 2 << 20, Ways: maxWays, BlockBytes: 32}} {
+		got := retainedBytes(64, func() any { return MustNew(cfg) })
+		if limit := float64(256 + 8*cfg.Ways); got > limit {
+			t.Errorf("unbuilt %d-byte %d-way cache retains %.0f B, want <= %.0f", cfg.SizeBytes, cfg.Ways, got, limit)
+		}
+	}
+	c := MustNew(big)
+	for _, addr := range []uint64{0, 32, 1 << 40, 1<<63 - 32} {
+		if st, _ := c.Probe(addr); st != Invalid {
+			t.Errorf("Probe(%#x) = %v on an unbuilt cache", addr, st)
+		}
+		if st, _ := c.Access(addr); st != Invalid {
+			t.Errorf("Access(%#x) = %v on an unbuilt cache", addr, st)
+		}
+		if _, _, ok := c.Invalidate(addr); ok || c.Downgrade(addr) || c.SetData(addr, 1) {
+			t.Errorf("Invalidate, Downgrade or SetData(%#x) found a line in an unbuilt cache", addr)
+		}
+	}
+	c.Lines(func(addr uint64, _ State, _ uint64) { t.Errorf("Lines visits %#x in an unbuilt cache", addr) })
+	if c.state != nil || c.Stats.Misses != 4 {
+		t.Errorf("lookups built the cache (state %d lines) or miscounted (%+v)", len(c.state), c.Stats)
 	}
 }

@@ -105,15 +105,6 @@ type entry struct {
 	// would let the evictor release its victim-buffer entry while a
 	// forwarded CtoC request still needs it.
 	deferredAcks []*mesg.Message
-	// doneTx records, per requester, the recently completed
-	// transactions for this block. A request carrying an
-	// already-completed Tx is a duplicate — an NI retransmission whose
-	// original got through, or a fault-injected copy — and re-running
-	// the state machine for it could double-grant ownership; it is
-	// dropped. A ring (not just the latest Tx) is kept because a
-	// congested network can deliver a duplicate long after newer
-	// transactions from the same requester have completed.
-	doneTx map[int][]uint64
 }
 
 // doneTxDepth bounds the per-requester completed-transaction ring. A
@@ -122,27 +113,45 @@ type entry struct {
 // completions of the present.
 const doneTxDepth = 8
 
-// markDone records the completion of requester's transaction tx.
-func (e *entry) markDone(requester int, tx uint64) {
+// doneKey names one requester's completed transactions on one block.
+type doneKey struct {
+	addr      uint64
+	requester int
+}
+
+// doneRing holds the last doneTxDepth transactions completed for one
+// (block, requester), newest last; 0 marks an unused slot (Tx 0 means
+// no transaction and is never recorded).
+type doneRing [doneTxDepth]uint64
+
+// markDone records the completion of requester's transaction tx on
+// block addr.
+func (c *Controller) markDone(addr uint64, requester int, tx uint64) {
 	if tx == 0 {
 		return
 	}
-	if e.doneTx == nil {
-		e.doneTx = make(map[int][]uint64)
+	k := doneKey{addr, requester}
+	i, ok := c.done[k]
+	if !ok {
+		i = uint32(len(c.rings))
+		c.rings = append(c.rings, doneRing{})
+		c.done[k] = i
 	}
-	ring := append(e.doneTx[requester], tx)
-	if len(ring) > doneTxDepth {
-		ring = ring[len(ring)-doneTxDepth:]
-	}
-	e.doneTx[requester] = ring
+	r := &c.rings[i]
+	copy(r[:], r[1:])
+	r[doneTxDepth-1] = tx
 }
 
 // isDup reports whether m duplicates a transaction already completed.
-func (e *entry) isDup(m *mesg.Message) bool {
-	if m.Tx == 0 || e.doneTx == nil {
+func (c *Controller) isDup(m *mesg.Message) bool {
+	if m.Tx == 0 {
 		return false
 	}
-	for _, tx := range e.doneTx[m.Requester] {
+	i, ok := c.done[doneKey{m.Addr, m.Requester}]
+	if !ok {
+		return false
+	}
+	for _, tx := range c.rings[i] {
 		if tx == m.Tx {
 			return true
 		}
@@ -157,6 +166,19 @@ type Controller struct {
 	cfg  Config
 	send func(*mesg.Message)
 	dir  map[uint64]*entry
+
+	// done and rings are the duplicate filter: done maps each (block,
+	// requester) with a completed transaction to its ring in rings. A
+	// request carrying an already-completed Tx is a duplicate (an NI
+	// retransmission whose original got through, or a fault-injected
+	// copy), and re-running the state machine for it could
+	// double-grant ownership; it is dropped. A ring, not just the
+	// latest Tx, is kept because a congested network can deliver a
+	// duplicate long after newer transactions from the same requester
+	// have completed. Neither holds a pointer, so the collector never
+	// scans them.
+	done  map[doneKey]uint32
+	rings []doneRing
 
 	// pool recycles Message structs (nil: plain heap allocation).
 	// Handlers that retain the serviced message past process() — a
@@ -204,7 +226,8 @@ func New(eng *sim.Engine, node int, cfg Config, send func(*mesg.Message)) *Contr
 	if cfg.DRAMCycles == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Controller{eng: eng, node: node, cfg: cfg, send: send, dir: make(map[uint64]*entry)}
+	return &Controller{eng: eng, node: node, cfg: cfg, send: send, dir: make(map[uint64]*entry),
+		done: make(map[doneKey]uint32)}
 }
 
 // SetPool attaches a message freelist. Must not be enabled when an
@@ -312,7 +335,7 @@ func (c *Controller) queueOrRetry(e *entry, m *mesg.Message) {
 
 func (c *Controller) handleRead(m *mesg.Message) {
 	e := c.ent(m.Addr)
-	if e.isDup(m) {
+	if c.isDup(m) {
 		c.Stats.DupRequests++
 		return
 	}
@@ -326,7 +349,7 @@ func (c *Controller) handleRead(m *mesg.Message) {
 		c.Stats.ReadsClean++
 		e.state = SharedSt
 		e.sharers.Add(m.Requester)
-		e.markDone(m.Requester, m.Tx)
+		c.markDone(m.Addr, m.Requester, m.Tx)
 		c.send(c.newMsg(mesg.Message{
 			Kind: mesg.ReadReply, Addr: m.Addr, Src: mesg.M(c.node), Dst: mesg.P(m.Requester),
 			Requester: m.Requester, Data: e.version, Issued: m.Issued,
@@ -345,7 +368,7 @@ func (c *Controller) handleRead(m *mesg.Message) {
 
 func (c *Controller) handleWrite(m *mesg.Message) {
 	e := c.ent(m.Addr)
-	if e.isDup(m) {
+	if c.isDup(m) {
 		c.Stats.DupRequests++
 		return
 	}
@@ -357,7 +380,7 @@ func (c *Controller) handleWrite(m *mesg.Message) {
 	switch e.state {
 	case Uncached:
 		e.state, e.owner, e.sharers = ModifiedSt, m.Requester, mesg.NodeSet{}
-		e.markDone(m.Requester, m.Tx)
+		c.markDone(m.Addr, m.Requester, m.Tx)
 		c.send(c.newMsg(mesg.Message{
 			Kind: mesg.WriteReply, Addr: m.Addr, Src: mesg.M(c.node), Dst: mesg.P(m.Requester),
 			Requester: m.Requester, Owner: m.Requester, Data: e.version, Issued: m.Issued,
@@ -379,7 +402,7 @@ func (c *Controller) handleWrite(m *mesg.Message) {
 		}
 		if targets == 0 {
 			e.state, e.owner, e.sharers = ModifiedSt, m.Requester, mesg.NodeSet{}
-			e.markDone(m.Requester, m.Tx)
+			c.markDone(m.Addr, m.Requester, m.Tx)
 			c.send(c.newMsg(mesg.Message{
 				Kind: mesg.WriteReply, Addr: m.Addr, Src: mesg.M(c.node), Dst: mesg.P(m.Requester),
 				Requester: m.Requester, Owner: m.Requester, Data: e.version, Issued: m.Issued,
@@ -425,7 +448,7 @@ func (c *Controller) handleInvalAck(m *mesg.Message) {
 	e.pending = e.pending[1:]
 	e.state, e.owner, e.sharers = ModifiedSt, e.busyReq, mesg.NodeSet{}
 	e.busy = false
-	e.markDone(e.busyReq, orig.Tx)
+	c.markDone(m.Addr, e.busyReq, orig.Tx)
 	c.send(c.newMsg(mesg.Message{
 		Kind: mesg.WriteReply, Addr: m.Addr, Src: mesg.M(c.node), Dst: mesg.P(e.owner),
 		Requester: e.owner, Owner: e.owner, Data: e.version, Issued: orig.Issued,
@@ -461,7 +484,7 @@ func (c *Controller) handleCopyBack(m *mesg.Message) {
 		e.sharers.Add(e.busyReq)
 		e.sharers.Or(m.Sharers)
 		if e.busyMsg != nil {
-			e.markDone(e.busyReq, e.busyMsg.Tx)
+			c.markDone(m.Addr, e.busyReq, e.busyMsg.Tx)
 			c.pool.Release(e.busyMsg)
 		}
 		e.busy, e.busyMsg = false, nil
@@ -576,7 +599,7 @@ func (c *Controller) handleWriteBack(m *mesg.Message) {
 			}
 			e.state, e.owner, e.sharers = ModifiedSt, e.busyReq, mesg.NodeSet{}
 			if e.busyMsg != nil {
-				e.markDone(e.busyReq, e.busyMsg.Tx)
+				c.markDone(m.Addr, e.busyReq, e.busyMsg.Tx)
 				c.pool.Release(e.busyMsg)
 			}
 			e.busy, e.busyMsg = false, nil

@@ -374,6 +374,79 @@ func TestDuplicateFilterRemembersOlderTransactions(t *testing.T) {
 	}
 }
 
+// readTx delivers requester's read of addr carrying tx and reports how
+// many messages the home sent: 1 when serviced, 0 when dropped as a
+// duplicate.
+func (d *drig) readTx(requester int, addr, tx uint64) int {
+	m := read(requester, addr)
+	m.Tx = tx
+	d.deliver(m)
+	return len(d.take())
+}
+
+func TestDuplicateFilterDepth(t *testing.T) {
+	d := newDrig(DefaultConfig())
+	// Tx 1, then doneTxDepth newer completions for the same (block,
+	// requester): Tx 1 has left the ring, Tx 2 is its oldest.
+	for tx := uint64(1); tx <= doneTxDepth+1; tx++ {
+		if got := d.readTx(1, 0x40, tx); got != 1 {
+			t.Fatalf("Tx %d sent %d messages, want 1", tx, got)
+		}
+	}
+	if got := d.readTx(1, 0x40, 2); got != 0 {
+		t.Fatalf("Tx 2, the %dth-newest completion, serviced again: %d messages", doneTxDepth, got)
+	}
+	if got := d.readTx(1, 0x40, 1); got != 1 {
+		t.Fatalf("Tx 1, %d completions old, dropped: %d messages", doneTxDepth+1, got)
+	}
+	if d.c.Stats.DupRequests != 1 {
+		t.Fatalf("DupRequests = %d, want 1", d.c.Stats.DupRequests)
+	}
+}
+
+func TestDuplicateFilterPerRequester(t *testing.T) {
+	d := newDrig(DefaultConfig())
+	d.readTx(1, 0x40, 1)
+	// Many more completions on the same block by other requesters,
+	// with Tx numbers that collide with P1's: none may push P1's Tx 1
+	// out of its ring, or be taken for P1's.
+	for p := 2; p <= 6; p++ {
+		for tx := uint64(1); tx <= 2*doneTxDepth; tx++ {
+			if got := d.readTx(p, 0x40, tx); got != 1 {
+				t.Fatalf("P%d Tx %d sent %d messages, want 1", p, tx, got)
+			}
+		}
+	}
+	if got := d.readTx(1, 0x40, 1); got != 0 {
+		t.Fatalf("P1's Tx 1 serviced again after other requesters' completions: %d messages", got)
+	}
+	if got := d.readTx(1, 0x40, 2); got != 1 {
+		t.Fatalf("P1's fresh Tx 2 dropped as another requester's duplicate: %d messages", got)
+	}
+	// The ring is per block too: P1's Tx 1 on another block is new.
+	if got := d.readTx(1, 0x80, 1); got != 1 {
+		t.Fatalf("P1's Tx 1 on another block dropped: %d messages", got)
+	}
+}
+
+func TestDuplicateFilterManyRequesters(t *testing.T) {
+	d := newDrig(DefaultConfig())
+	const n = 100
+	for p := 0; p < n; p++ {
+		if got := d.readTx(p, 0x40, uint64(1000+p)); got != 1 {
+			t.Fatalf("P%d sent %d messages, want 1", p, got)
+		}
+	}
+	for p := 0; p < n; p++ {
+		if got := d.readTx(p, 0x40, uint64(1000+p)); got != 0 {
+			t.Fatalf("P%d's duplicate serviced after %d requesters completed: %d messages", p, n, got)
+		}
+	}
+	if d.c.Stats.DupRequests != n {
+		t.Fatalf("DupRequests = %d, want %d", d.c.Stats.DupRequests, n)
+	}
+}
+
 func TestLegacyRequestsWithoutTxUnaffected(t *testing.T) {
 	d := newDrig(DefaultConfig())
 	// Tx=0 means "no transaction": two identical requests are two

@@ -120,27 +120,43 @@ func TestSnoopStreamGolden(t *testing.T) {
 }
 
 // TestEntryFootprint pins the switch-directory footprint at the
-// 1024-node radix-8 scale (512 switches of 1K entries): New retains at
-// most 24 bytes per entry, in at most three allocations per switch
-// (today two, plus four for the whole fabric), and the entry type holds
-// no pointer, slice or map, so the garbage collector never scans a
-// slab.
+// 1024-node radix-8 scale (512 switches of 1K entries) once every
+// switch has taken an insert: the fabric retains at most 24 bytes per
+// entry, New and the first inserts make at most three allocations per
+// switch (today two, plus four for the whole fabric), and the entry
+// type holds no pointer, slice or map, so the garbage collector never
+// scans a slab. Before its first insert a switch retains at most 512
+// bytes, none of them entries.
 func TestEntryFootprint(t *testing.T) {
 	tp := topo.MustNew(1024, 8)
 	cfg := DefaultConfig()
 	n := tp.NumSwitches() * cfg.Entries
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	f := MustNew(tp, cfg)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(f)
-	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(n); per > 24 {
-		t.Errorf("New retains %.1f B per entry, want <= 24", per)
+	build := func(fill bool) *Fabric {
+		f := MustNew(tp, cfg)
+		m := &mesg.Message{Kind: mesg.WriteReply, Addr: 32, Requester: 1}
+		for i := 0; fill && i < tp.NumSwitches(); i++ {
+			f.Snoop(tp.OrdinalSwitch(i), m, 0)
+		}
+		return f
 	}
-	if allocs := testing.AllocsPerRun(1, func() { MustNew(tp, cfg) }); allocs > float64(3*tp.NumSwitches()) {
-		t.Errorf("New makes %.0f allocations for %d switches", allocs, tp.NumSwitches())
+	retained := func(fill bool) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f := build(fill)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(f)
+		return float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	}
+	if per := retained(true) / float64(n); per < 16 || per > 24 {
+		t.Errorf("a built fabric retains %.1f B per entry, want 16 (the entry) to 24", per)
+	}
+	if per := retained(false) / float64(tp.NumSwitches()); per > 512 {
+		t.Errorf("an unbuilt fabric retains %.0f B per switch, want <= 512", per)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { build(true) }); allocs > float64(3*tp.NumSwitches()) {
+		t.Errorf("New and one insert per switch make %.0f allocations for %d switches", allocs, tp.NumSwitches())
 	}
 	et := reflect.TypeOf(entry{})
 	for i := 0; i < et.NumField(); i++ {

@@ -180,7 +180,10 @@ const (
 
 // dir is one switch's directory instance. Set s occupies
 // slab[s*ways : (s+1)*ways], and each set's ranks are a permutation
-// of 0..ways-1 ordered by last use.
+// of 0..ways-1 ordered by last use. The slab is built at the switch's
+// first insert: on a big machine most switches never see a write
+// reply. Until then it is nil, find misses and the fault walks see no
+// entries.
 type dir struct {
 	slab []entry
 	ways uint64
@@ -231,7 +234,8 @@ func (f *Fabric) protoFail(sw topo.SwitchID, m *mesg.Message) {
 	f.Fail(err)
 }
 
-// New builds the switch-directory fabric for tp.
+// New builds the switch-directory fabric for tp. Each switch's entry
+// slab is left to its first insert.
 func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	if cfg.Entries == 0 {
 		return nil, fmt.Errorf("sdir: zero entries; omit the snooper instead")
@@ -252,13 +256,17 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]*dir, tp.NumSwitches()),
 		disabled: make([]bool, tp.NumSwitches()), failed: make([]bool, tp.NumSwitches())}
 	for i := range f.dirs {
-		d := &dir{slab: make([]entry, cfg.Entries), ways: uint64(cfg.Ways), mask: uint64(nsets - 1)}
-		for j := range d.slab {
-			d.slab[j].rank = uint8(j % cfg.Ways)
-		}
-		f.dirs[i] = d
+		f.dirs[i] = &dir{ways: uint64(cfg.Ways), mask: uint64(nsets - 1)}
 	}
 	return f, nil
+}
+
+// build gives d its entry slab, each set's ranks 0..ways-1.
+func (d *dir) build() {
+	d.slab = make([]entry, (d.mask+1)*d.ways)
+	for j := range d.slab {
+		d.slab[j].rank = uint8(uint64(j) % d.ways)
+	}
 }
 
 // MustNew panics on error.
@@ -310,6 +318,9 @@ func (d *dir) waiters(e *entry) []int {
 }
 
 func (d *dir) find(addr uint64) *entry {
+	if d.slab == nil {
+		return nil
+	}
 	set := d.set(addr)
 	for i := range set {
 		if set[i].state != Inv && set[i].tag == addr {
@@ -426,6 +437,9 @@ func (f *Fabric) insert(d *dir, m *mesg.Message) {
 		e.state, e.owner = Mod, uint16(m.Requester)
 		touch(d.set(m.Addr), e)
 		return
+	}
+	if d.slab == nil {
+		d.build()
 	}
 	set := d.set(m.Addr)
 	var victim *entry

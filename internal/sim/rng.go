@@ -83,10 +83,11 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with skew s > 0
-// using inverse-CDF on a precomputed table is avoided for memory; this
-// uses rejection-free approximate inversion adequate for workload
-// synthesis. Larger s concentrates mass on small indices.
+// Zipf draws from a Zipf distribution over [0, n) with skew s > 0:
+// index i has weight 1/(i+1)^s, so larger s concentrates mass on small
+// indices. NewZipf precomputes the whole normalized CDF (n float64s)
+// plus a small jump table, and Draw inverts that CDF exactly: it
+// returns the least index whose CDF value reaches a uniform draw.
 type Zipf struct {
 	rng *RNG
 	cdf []float64

@@ -16,9 +16,10 @@
 #    pins (the zero-fault cycle counts, TestCorpusPinned,
 #    the TestRandomTrafficAllConfigs hashes, TestSnoopStreamGolden) are
 #    what enforce them.
-# 4. Fails when this checkout's traced bigfft has live_heap_mb.256n at or
-#    above 16 × live_heap_mb.64n: 4× the nodes costing 16× the heap is
-#    route or switch state growing quadratically.
+# 4. Prints this checkout's traced bigfft live_heap_mb.256n / .64n and
+#    .1024n / .256n, and fails when either ratio reaches 16: 4× the nodes
+#    costing 16× the heap is route or switch state growing
+#    quadratically.
 #
 # Exit status: 0 when everything passes; 1 when compare's verdict fails
 # (an end-to-end metric is a regression or unresolved) and nothing else
@@ -104,12 +105,24 @@ for wl in $workloads; do
 done
 
 heap() { metrics "$out/traced/head/bigfft/$traced" "live_heap_mb\\.$1" | cut -d' ' -f2; }
-h64=$(heap 64n)
-h256=$(heap 256n)
-[ -n "$h64" ] && [ -n "$h256" ] || die "no live_heap_mb.64n or .256n in the traced bigfft run"
-awk -v a="$h256" -v b="$h64" 'BEGIN { exit !(a >= 16 * b) }' &&
-	die "live_heap_mb.256n $h256 MB is at or above 16 × live_heap_mb.64n ($h64 MB)"
-awk -v a="$h256" -v b="$h64" 'BEGIN { printf "perfgate: heap ceiling: live_heap_mb.256n %.2f MB / .64n %.2f MB = %.2f×, below 16×\n", a, b, a / b }'
+
+# ceiling BIG SMALL prints live_heap_mb.BIG / .SMALL and adds to $over
+# when the ratio reaches 16.
+over=
+ceiling() {
+	local big small
+	big=$(heap "$1")
+	small=$(heap "$2")
+	[ -n "$big" ] && [ -n "$small" ] || die "no live_heap_mb.$1 or .$2 in the traced bigfft run"
+	awk -v a="$big" -v b="$small" -v n="$1" -v m="$2" \
+		'BEGIN { printf "perfgate: heap ceiling: live_heap_mb.%s %.2f MB / .%s %.2f MB = %.2f×, %s 16×\n", n, a, m, b, a / b, (a >= 16 * b ? "AT OR ABOVE" : "below") }'
+	awk -v a="$big" -v b="$small" 'BEGIN { exit !(a >= 16 * b) }' &&
+		over="${over:+$over; }live_heap_mb.$1 $big MB is at or above 16 × live_heap_mb.$2 ($small MB)"
+	return 0
+}
+ceiling 256n 64n
+ceiling 1024n 256n
+[ -z "$over" ] || die "$over"
 
 [ "$verdict" = 0 ] || echo "perfgate: compare's verdict fails (exit 1)" >&2
 exit "$verdict"

@@ -91,7 +91,9 @@ bench:
 
 # The paper's result figures at reduced scale (fast) and full scale.
 # figures-paper writes the archive in results/: every paper figure, then
-# extension E1 (-fig 12), about 100 s.
+# extension E1 (-fig 12), about 60 s on 2 vCPUs. CI's figures-archive
+# job runs it and fails if `git diff --exit-code results/` finds the
+# committed archive differs from what the code produces.
 figures:
 	go run ./cmd/figures
 

@@ -23,8 +23,9 @@
 // -entries 0 runs the base system with no switch directories. -size is
 // the kernel's input parameter (points for FFT, a power of four; keys
 // for radix, a power of two; matrix/grid dimension for the others, a
-// multiple of 16 for lu; 0 uses the paper's Table 2 input). A negative
-// count or an input the kernel cannot take exactly exits 2.
+// multiple of 16 for lu; 0 uses the paper's Table 2 input). -iters sets
+// SOR's iteration count at any -size; it exits 2 for any other kernel.
+// A negative count or an input the kernel cannot take exactly exits 2.
 //
 // -faults takes a fault-injection plan (see fault.ParsePlan):
 // drop/dup/delay permille rates for home-bound requests, periodic
@@ -76,7 +77,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at the end of the run: the in-use heap while the machine is still live, and all allocations")
 	flag.Parse()
-	if err := checkFlags(*app, *size, *iters, *entries, *pending, *swc); err != nil {
+	itersSet := false
+	flag.Visit(func(f *flag.Flag) { itersSet = itersSet || f.Name == "iters" })
+	if err := checkFlags(*app, *size, *iters, itersSet, *entries, *pending, *swc); err != nil {
 		fmt.Fprintf(os.Stderr, "dresar-sim: %v\n", err)
 		os.Exit(2)
 	}
@@ -127,34 +130,7 @@ func main() {
 		cfg = cfg.WithSwitchCache(*swc)
 	}
 
-	var w workload.Workload
-	if *size == 0 && *app != "lu" && *app != "radix" {
-		w, err = workload.ByName(*app, *nodes)
-	} else {
-		n := *size
-		switch *app {
-		case "fft":
-			w = workload.NewFFT(n, *nodes)
-		case "tc":
-			w = workload.NewTC(n, *nodes)
-		case "sor":
-			w = workload.NewSOR(n, *iters, *nodes)
-		case "fwa":
-			w = workload.NewFWA(n, *nodes)
-		case "gauss", "ge":
-			w = workload.NewGauss(n, *nodes)
-		case "lu":
-			if n == 0 {
-				n = 128
-			}
-			w = workload.NewLU(n, luBlock, *nodes)
-		case "radix":
-			if n == 0 {
-				n = 1 << 16
-			}
-			w = workload.NewRadix(n, 4, *nodes)
-		}
-	}
+	w, err := newWorkload(*app, *size, *iters, *nodes)
 	fail(err)
 
 	m, err := core.New(cfg)
@@ -217,13 +193,52 @@ func main() {
 // luBlock is the LU kernel's block width; its -size must be a multiple.
 const luBlock = 16
 
+// newWorkload builds the kernel the flags name. Size 0 takes the
+// paper's Table 2 input (workload.ByName), except that SOR runs its
+// 512×512 grid for iters iterations, and LU and radix, which have no
+// Table 2 input, take 128×128 and 64K keys.
+func newWorkload(app string, size, iters, nodes int) (workload.Workload, error) {
+	switch app {
+	case "sor":
+		if size == 0 {
+			size = 512
+		}
+		return workload.NewSOR(size, iters, nodes), nil
+	case "lu":
+		if size == 0 {
+			size = 128
+		}
+		return workload.NewLU(size, luBlock, nodes), nil
+	case "radix":
+		if size == 0 {
+			size = 1 << 16
+		}
+		return workload.NewRadix(size, 4, nodes), nil
+	}
+	if size == 0 {
+		return workload.ByName(app, nodes)
+	}
+	switch app {
+	case "fft":
+		return workload.NewFFT(size, nodes), nil
+	case "tc":
+		return workload.NewTC(size, nodes), nil
+	case "fwa":
+		return workload.NewFWA(size, nodes), nil
+	case "gauss", "ge":
+		return workload.NewGauss(size, nodes), nil
+	}
+	return nil, fmt.Errorf("unknown kernel %q", app)
+}
+
 // checkFlags rejects the flag values that main would quietly turn into
 // a different run: a negative count (read as the base system, a
 // feature switched off, or an empty or 1-point kernel), no SOR
-// iterations, an FFT size that NewFFT would round up to a power of
-// four, an LU size that is not whole blocks, a radix key count that is
-// not a power of two, and an unknown kernel.
-func checkFlags(app string, size, iters, entries, pending, swc int) error {
+// iterations, an explicit -iters (itersSet) for a kernel other than
+// SOR, which has no iteration count, an FFT size that NewFFT would
+// round up to a power of four, an LU size that is not whole blocks, a
+// radix key count that is not a power of two, and an unknown kernel.
+func checkFlags(app string, size, iters int, itersSet bool, entries, pending, swc int) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -234,6 +249,9 @@ func checkFlags(app string, size, iters, entries, pending, swc int) error {
 	}
 	if iters < 1 {
 		return fmt.Errorf("-iters %d: want at least one iteration", iters)
+	}
+	if itersSet && app != "sor" {
+		return fmt.Errorf("-iters applies to sor only, not %s", app)
 	}
 	switch app {
 	case "fft":

@@ -1,11 +1,17 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"dresar/internal/core"
+	"dresar/internal/workload"
+)
 
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
 		app                                string
 		size, iters, entries, pending, swc int
+		itersSet                           bool
 	}
 	ok := flags{app: "fft", iters: 4, entries: 1024}
 	for _, c := range []struct {
@@ -29,6 +35,12 @@ func TestCheckFlags(t *testing.T) {
 		{"sor -iters -2", func(f *flags) { f.app, f.size, f.iters = "sor", 32, -2 }, true},
 		{"sor -iters 0", func(f *flags) { f.app, f.size, f.iters = "sor", 32, 0 }, true},
 		{"sor 32", func(f *flags) { f.app, f.size = "sor", 32 }, false},
+		{"sor 32 -iters 2", func(f *flags) { f.app, f.size, f.iters, f.itersSet = "sor", 32, 2, true }, false},
+		{"sor -iters 1", func(f *flags) { f.app, f.iters, f.itersSet = "sor", 1, true }, false},
+		{"fft -iters 2", func(f *flags) { f.iters, f.itersSet = 2, true }, true},
+		{"fft -iters 4", func(f *flags) { f.itersSet = true }, true},
+		{"tc 64 -iters 1", func(f *flags) { f.app, f.size, f.iters, f.itersSet = "tc", 64, 1, true }, true},
+		{"lu -iters 2", func(f *flags) { f.app, f.iters, f.itersSet = "lu", 2, true }, true},
 		{"ge", func(f *flags) { f.app = "ge" }, false},
 		{"lu default", func(f *flags) { f.app = "lu" }, false},
 		{"lu 64", func(f *flags) { f.app, f.size = "lu", 64 }, false},
@@ -40,9 +52,34 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		f := ok
 		c.edit(&f)
-		err := checkFlags(f.app, f.size, f.iters, f.entries, f.pending, f.swc)
+		err := checkFlags(f.app, f.size, f.iters, f.itersSet, f.entries, f.pending, f.swc)
 		if (err != nil) != c.bad {
 			t.Errorf("%s: checkFlags(%+v) = %v, want an error: %v", c.name, f, err, c.bad)
 		}
+	}
+}
+
+// TestSORDefaultSizeHonorsIters runs what `dresar-sim -app sor -iters
+// 1` runs: SOR at its default 512×512 grid for one iteration, which
+// reads 1040400 words (four iterations read 4161600).
+func TestSORDefaultSizeHonorsIters(t *testing.T) {
+	w, err := newWorkload("sor", 0, 1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.New(core.DefaultConfig().WithSwitchDir(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := workload.NewDriver(m, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Reads != 1040400 {
+		t.Fatalf("sor -iters 1 at the default size: reads=%d, want 1040400", s.Reads)
 	}
 }

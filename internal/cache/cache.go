@@ -60,10 +60,15 @@ type Stats struct {
 // lookups are the hottest operation in the whole simulator, and a
 // 1024-node machine holds 4.7M lines.
 //
-// The arrays are built at the first Insert, since on a big machine
-// most processors may never reference memory. Until then tags holds a
-// single all-noTag set and mask is 0, so find runs its usual loop and
-// misses, and state, data and rank are nil.
+// The tag, state and rank arrays are built at the first Insert, since
+// on a big machine most processors may never reference memory. Until
+// then tags holds a single all-noTag set and mask is 0, so find runs
+// its usual loop and misses, and state and rank are nil. The version
+// array is built later still, at the first Insert or SetData of a
+// non-zero version: until then data is nil and every line's version
+// reads 0, which is what a zeroed array would hold. A cache that never
+// stores a version (the trace-driven simulator's) costs 10 bytes per
+// line.
 //
 // tags holds each way's tag, with invalid ways holding noTag, so find
 // scans 8 bytes per way (a whole 4-way set fits in one host cache
@@ -120,11 +125,11 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// build gives the cache its line arrays: every way invalid (noTag) and
-// each set's ranks 0..ways-1.
+// build gives the cache its tag, state and rank arrays: every way
+// invalid (noTag) and each set's ranks 0..ways-1.
 func (c *Cache) build() {
 	nlines := c.cfg.SizeBytes / c.cfg.BlockBytes
-	c.tags, c.data = make([]uint64, nlines), make([]uint64, nlines)
+	c.tags = make([]uint64, nlines)
 	c.state, c.rank = make([]State, nlines), make([]uint8, nlines)
 	for i := range c.tags {
 		c.tags[i] = noTag
@@ -156,6 +161,26 @@ func (c *Cache) BlockAlign(addr uint64) uint64 {
 
 func (c *Cache) setIdx(addr uint64) uint64 { return (addr >> c.shift) & c.mask }
 func (c *Cache) tag(addr uint64) uint64    { return addr >> c.shift }
+
+// version returns line i's version: 0 until the version array exists.
+func (c *Cache) version(i int) uint64 {
+	if c.data == nil {
+		return 0
+	}
+	return c.data[i]
+}
+
+// setVersion stores line i's version, building the version array at
+// the first non-zero one.
+func (c *Cache) setVersion(i int, v uint64) {
+	if c.data == nil {
+		if v == 0 {
+			return
+		}
+		c.data = make([]uint64, len(c.tags))
+	}
+	c.data[i] = v
+}
 
 // find returns the flat index of the way holding addr, or -1. It
 // scans the dense tags array (invalid ways hold noTag), the
@@ -193,7 +218,7 @@ func (c *Cache) touch(base uint64, i int) {
 // means not present.
 func (c *Cache) Probe(addr uint64) (State, uint64) {
 	if i := c.find(addr); i >= 0 {
-		return c.state[i], c.data[i]
+		return c.state[i], c.version(i)
 	}
 	return Invalid, 0
 }
@@ -208,7 +233,7 @@ func (c *Cache) Access(addr uint64) (State, uint64) {
 	}
 	c.touch(c.setIdx(addr)*c.ways, i)
 	c.Stats.Hits++
-	return c.state[i], c.data[i]
+	return c.state[i], c.version(i)
 }
 
 // Victim describes a line displaced by Insert.
@@ -230,7 +255,8 @@ func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
 	}
 	base := c.setIdx(addr) * c.ways
 	if i := c.find(addr); i >= 0 {
-		c.state[i], c.data[i] = st, data
+		c.state[i] = st
+		c.setVersion(i, data)
 		c.touch(base, i)
 		return Victim{}, false
 	}
@@ -251,9 +277,10 @@ func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
 		if c.state[i] == Modified {
 			c.Stats.DirtyEvic++
 		}
-		out = Victim{Addr: c.tags[i] << c.shift, State: c.state[i], Data: c.data[i]}
+		out = Victim{Addr: c.tags[i] << c.shift, State: c.state[i], Data: c.version(i)}
 	}
-	c.tags[i], c.state[i], c.data[i] = c.tag(addr), st, data
+	c.tags[i], c.state[i] = c.tag(addr), st
+	c.setVersion(i, data)
 	c.touch(base, i)
 	return out, had
 }
@@ -267,7 +294,7 @@ func (c *Cache) Invalidate(addr uint64) (State, uint64, bool) {
 	}
 	st := c.state[i]
 	c.state[i], c.tags[i] = Invalid, noTag
-	return st, c.data[i], true
+	return st, c.version(i), true
 }
 
 // Downgrade moves a Modified line to Shared (after a CtoC read); it
@@ -283,7 +310,7 @@ func (c *Cache) Downgrade(addr uint64) bool {
 // SetData overwrites the version of a present line (a store hit).
 func (c *Cache) SetData(addr uint64, data uint64) bool {
 	if i := c.find(addr); i >= 0 {
-		c.data[i] = data
+		c.setVersion(i, data)
 		return true
 	}
 	return false
@@ -294,7 +321,7 @@ func (c *Cache) SetData(addr uint64, data uint64) bool {
 func (c *Cache) Lines(fn func(addr uint64, st State, data uint64)) {
 	for i, st := range c.state {
 		if st != Invalid {
-			fn(c.tags[i]<<c.shift, st, c.data[i])
+			fn(c.tags[i]<<c.shift, st, c.version(i))
 		}
 	}
 }

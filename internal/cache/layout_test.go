@@ -157,59 +157,103 @@ func walk(lines func(func(uint64, State, uint64))) uint64 {
 func TestRanksMatchStamps(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 8, maxWays} {
 		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
-			cfg := Config{SizeBytes: 4 * ways * 32, Ways: ways, BlockBytes: 32}
-			c, ref := MustNew(cfg), newStampCache(cfg)
-			rng := sim.NewRNG(uint64(ways))
-			pool := 3 * 4 * ways
-			for op := 0; op < 20000; op++ {
-				b := rng.Intn(pool)
-				if rng.Intn(2) == 0 {
-					b = rng.Intn(pool/4 + 1)
+			matchStamps(t, ways, func(_ int, v uint64) uint64 { return v })
+		})
+	}
+}
+
+// TestVersionsBuiltMidStream drives TestRanksMatchStamps' stream with
+// every stored version 0 for its first half and random after it (0 to
+// 3, so zeros still overwrite non-zero versions), so the version array
+// is built in the middle of the stream, over lines filled without one:
+// every lookup, victim and Lines walk must still agree with the stamp
+// cache, which always had versions.
+func TestVersionsBuiltMidStream(t *testing.T) {
+	const half = matchOps / 2
+	for _, ways := range []int{1, 4, maxWays} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			built := matchStamps(t, ways, func(op int, v uint64) uint64 {
+				if op < half {
+					return 0
 				}
-				addr := uint64(b)*32 + uint64(rng.Intn(32))
-				var got, want string
-				switch rng.Intn(6) {
-				case 0:
-					st, d := c.Access(addr)
-					got = fmt.Sprint(st, d)
-					st, d = ref.Access(addr)
-					want = fmt.Sprint(st, d)
-				case 1:
-					st := State(1 + rng.Intn(2))
-					d := rng.Uint64()
-					v, had := c.Insert(addr, st, d)
-					got = fmt.Sprint(v, had)
-					v, had = ref.Insert(addr, st, d)
-					want = fmt.Sprint(v, had)
-				case 2:
-					got = fmt.Sprint(c.Invalidate(addr))
-					want = fmt.Sprint(ref.Invalidate(addr))
-				case 3:
-					got, want = fmt.Sprint(c.Downgrade(addr)), fmt.Sprint(ref.Downgrade(addr))
-				case 4:
-					got, want = fmt.Sprint(c.SetData(addr, uint64(op))), fmt.Sprint(ref.SetData(addr, uint64(op)))
-				case 5:
-					got = fmt.Sprint(c.Probe(addr))
-					want = fmt.Sprint(ref.Probe(addr))
-				}
-				got += fmt.Sprintf(" %+v lines=%x", c.Stats, walk(c.Lines))
-				want += fmt.Sprintf(" %+v lines=%x", ref.Stats, walk(ref.Lines))
-				if got != want {
-					t.Fatalf("op %d at %#x:\n got %s\nwant %s", op, addr, got, want)
-				}
+				return v % 4
+			})
+			if built < half {
+				t.Fatalf("version array built at op %d, want after the %d all-zero ops", built, half)
 			}
 		})
 	}
 }
 
+// matchOps is the length of matchStamps' operation stream.
+const matchOps = 20000
+
+// matchStamps runs matchOps seeded operations against a Cache and a
+// stampCache and fails at the first disagreement. Insert stores
+// version(op, a random word) and SetData version(op, op). It returns
+// the first op after which the Cache held a version array, or -1.
+func matchStamps(t *testing.T, ways int, version func(op int, v uint64) uint64) (built int) {
+	cfg := Config{SizeBytes: 4 * ways * 32, Ways: ways, BlockBytes: 32}
+	c, ref := MustNew(cfg), newStampCache(cfg)
+	rng := sim.NewRNG(uint64(ways))
+	pool := 3 * 4 * ways
+	built = -1
+	for op := 0; op < matchOps; op++ {
+		b := rng.Intn(pool)
+		if rng.Intn(2) == 0 {
+			b = rng.Intn(pool/4 + 1)
+		}
+		addr := uint64(b)*32 + uint64(rng.Intn(32))
+		var got, want string
+		switch rng.Intn(6) {
+		case 0:
+			st, d := c.Access(addr)
+			got = fmt.Sprint(st, d)
+			st, d = ref.Access(addr)
+			want = fmt.Sprint(st, d)
+		case 1:
+			st := State(1 + rng.Intn(2))
+			d := version(op, rng.Uint64())
+			v, had := c.Insert(addr, st, d)
+			got = fmt.Sprint(v, had)
+			v, had = ref.Insert(addr, st, d)
+			want = fmt.Sprint(v, had)
+		case 2:
+			got = fmt.Sprint(c.Invalidate(addr))
+			want = fmt.Sprint(ref.Invalidate(addr))
+		case 3:
+			got, want = fmt.Sprint(c.Downgrade(addr)), fmt.Sprint(ref.Downgrade(addr))
+		case 4:
+			d := version(op, uint64(op))
+			got, want = fmt.Sprint(c.SetData(addr, d)), fmt.Sprint(ref.SetData(addr, d))
+		case 5:
+			got = fmt.Sprint(c.Probe(addr))
+			want = fmt.Sprint(ref.Probe(addr))
+		}
+		got += fmt.Sprintf(" %+v lines=%x", c.Stats, walk(c.Lines))
+		want += fmt.Sprintf(" %+v lines=%x", ref.Stats, walk(ref.Lines))
+		if got != want {
+			t.Fatalf("op %d at %#x:\n got %s\nwant %s", op, addr, got, want)
+		}
+		if built < 0 && c.data != nil {
+			built = op
+		}
+	}
+	return built
+}
+
 // retainedBytes reports the heap bytes still reachable after build,
 // per build: the least of five trials of n builds each, since whatever
-// else the runtime allocates during a trial can only add to it.
+// else the runtime allocates during a trial can only add to it. Two
+// collections precede each baseline: the first moves sync.Pool
+// contents (fmt's printers, say) to their victim caches and the second
+// frees them, so no pool emptied during a trial makes it read low.
 func retainedBytes(n int, build func() any) float64 {
 	best := math.Inf(1)
 	for trial := 0; trial < 5; trial++ {
 		keep := make([]any, n)
 		var before, after runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := range keep {
@@ -238,6 +282,27 @@ func TestLineFootprint(t *testing.T) {
 		if limit := float64(18*lines + 1024); got < float64(18*lines) || got > limit {
 			t.Errorf("%d-line cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 18*lines, limit)
 		}
+	}
+}
+
+// TestUnversionedLineFootprint pins the per-line cost of a built
+// cache that never stores a version, as the trace-driven simulator's
+// 2 MB 4-way caches never do: 10 bytes (tag, state and rank), plus a
+// 1 KiB allowance for the Cache header. Stores of version 0, by Insert
+// and SetData alike, build no version array.
+func TestUnversionedLineFootprint(t *testing.T) {
+	cfg := Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32}
+	lines := cfg.SizeBytes / cfg.BlockBytes
+	got := retainedBytes(16, func() any {
+		c := MustNew(cfg)
+		for b := uint64(0); b < 64; b++ {
+			c.Insert(b*32, Modified, 0)
+			c.SetData(b*32, 0)
+		}
+		return c
+	})
+	if limit := float64(10*lines + 1024); got < float64(10*lines) || got > limit {
+		t.Errorf("%d-line unversioned cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 10*lines, limit)
 	}
 }
 

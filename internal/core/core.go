@@ -235,7 +235,7 @@ func New(cfg Config) (*Machine, error) {
 		Cfg:      cfg,
 		Topo:     tp,
 		Eng:      sim.NewEngine(),
-		Profile:  sim.NewBlockProfile(),
+		Profile:  sim.NewBlockProfile(32), // finishRead keys it by 32-byte block
 		stampAt:  make([]sim.Cycle, cfg.Nodes),
 		stampCtr: make([]uint64, cfg.Nodes),
 	}

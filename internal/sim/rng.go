@@ -86,22 +86,28 @@ func (r *RNG) Perm(n int) []int {
 // Zipf draws from a Zipf distribution over [0, n) with skew s > 0:
 // index i has weight 1/(i+1)^s, so larger s concentrates mass on small
 // indices. NewZipf precomputes the whole normalized CDF (n float64s)
-// plus a small jump table, and Draw inverts that CDF exactly: it
-// returns the least index whose CDF value reaches a uniform draw.
+// plus a jump table with at least one bucket per index (the least power
+// of two at or above n, at most 2^16 buckets), and Draw inverts that
+// CDF exactly: it returns the least index whose CDF value reaches a
+// uniform draw.
 type Zipf struct {
 	rng *RNG
 	cdf []float64
-	// jump[k] is the least index whose CDF value reaches k/zipfBuckets;
-	// jump[zipfBuckets] is n-1. It narrows Draw's binary search from
-	// the whole table to one bucket's worth of entries — with skewed
-	// mass, usually one or two — without changing which index any u
-	// maps to, so draw sequences are bit-identical to a full search.
+	// jump[k] is the least index whose CDF value reaches k/B, for B =
+	// len(jump)-1 buckets; jump[B] is n-1. It narrows Draw's binary
+	// search from the whole table to the indices in one bucket — one
+	// or two where the mass is flat, since there are at least as many
+	// buckets as indices up to 2^16, and a few more only in a skewed
+	// tail that draws rarely reach — without changing which index any
+	// u maps to, so draw sequences are bit-identical to a full search.
 	jump []int32
+	// shift is 53 - log2(B): a draw's 53 mantissa bits shifted right by
+	// it give its bucket.
+	shift uint
 }
 
-// zipfBuckets is the jump-table resolution. A power of two so the
-// bucket of a draw is exact integer arithmetic on its mantissa bits.
-const zipfBuckets = 256
+// zipfMaxBuckets caps the jump table at 256 KiB.
+const zipfMaxBuckets = 1 << 16
 
 // NewZipf builds a Zipf sampler over [0, n) with exponent s.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
@@ -117,27 +123,33 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	jump := make([]int32, zipfBuckets+1)
+	logB := uint(0)
+	for 1<<logB < n && 1<<logB < zipfMaxBuckets {
+		logB++
+	}
+	buckets := 1 << logB
+	jump := make([]int32, buckets+1)
 	i := 0
 	for k := range jump {
-		target := float64(k) / zipfBuckets
+		target := float64(k) / float64(buckets)
 		for i < n-1 && cdf[i] < target {
 			i++
 		}
 		jump[k] = int32(i)
 	}
-	return &Zipf{rng: rng, cdf: cdf, jump: jump}
+	return &Zipf{rng: rng, cdf: cdf, jump: jump, shift: 53 - logB}
 }
 
 // Draw returns the next sample.
 func (z *Zipf) Draw() int {
-	// Identical to u := z.rng.Float64(), with the mantissa bits kept:
-	// bits/2^53 is exact, so bits>>45 is exactly floor(u·zipfBuckets)
-	// and u lies in [k/B, (k+1)/B) — the answer is in [jump[k],
+	// Identical to u := z.rng.Float64(), with the mantissa bits kept.
+	// For any power-of-two bucket count B = 2^(53-shift), bits/2^53 is
+	// exact, so bits>>shift is exactly floor(u·B) and k/B is exact;
+	// u lies in [k/B, (k+1)/B), so the answer is in [jump[k],
 	// jump[k+1]] by construction.
 	bits := z.rng.Uint64() >> 11
 	u := float64(bits) / (1 << 53)
-	k := bits >> 45
+	k := bits >> z.shift
 	lo, hi := int(z.jump[k]), int(z.jump[k+1])
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,33 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfDrawMatchesFullSearch: Draw's jump table only narrows the
+// search, so every draw must equal a binary search of the whole CDF
+// for the same uniform variate (a twin RNG with the same seed). The
+// sizes straddle powers of two and the 2^16-bucket cap, and the skews
+// run from TPC-D's flat 0.1 to a steep 2.0.
+func TestZipfDrawMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 255, 256, 257, 5000, 49152, 65536, 65537, 100000} {
+		for _, s := range []float64{0.1, 0.8, 1.0, 2.0} {
+			const seed = 42
+			z, twin := NewZipf(NewRNG(seed), n, s), NewRNG(seed)
+			buckets := 1
+			for buckets < n && buckets < zipfMaxBuckets {
+				buckets *= 2
+			}
+			if len(z.jump) != buckets+1 {
+				t.Fatalf("n=%d: %d buckets, want %d", n, len(z.jump)-1, buckets)
+			}
+			for i := 0; i < 100_000; i++ {
+				want := sort.SearchFloat64s(z.cdf, twin.Float64())
+				if got := z.Draw(); got != want {
+					t.Fatalf("n=%d s=%v draw %d: got %d, full search gives %d", n, s, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAccumulator(t *testing.T) {
 	var a Accumulator
 	for _, v := range []uint64{5, 1, 9, 5} {
@@ -309,7 +337,7 @@ func TestHistogramPercentileNearestRank(t *testing.T) {
 }
 
 func TestBlockProfileCDF(t *testing.T) {
-	b := NewBlockProfile()
+	b := NewBlockProfile(32)
 	// 10 blocks: block 0 has 91 misses/91 ctocs, others 1/1 each.
 	b.Add(0, 91, 91)
 	for k := uint64(1); k < 10; k++ {
@@ -347,7 +375,7 @@ func TestBlockProfileCDFTotalOrder(t *testing.T) {
 	points := []float64{1.0 / 6, 2.0 / 6, 3.0 / 6, 4.0 / 6, 5.0 / 6, 1}
 	wantP := []float64{6.0 / 20, 10.0 / 20, 14.0 / 20, 18.0 / 20, 19.0 / 20, 1}
 	wantS := []float64{3.0 / 8, 5.0 / 8, 6.0 / 8, 6.0 / 8, 1, 1}
-	fwd, rev := NewBlockProfile(), NewBlockProfile()
+	fwd, rev := NewBlockProfile(32), NewBlockProfile(32)
 	for i := range counts {
 		c, r := counts[i], counts[len(counts)-1-i]
 		fwd.Add(c.key, c.d, c.s)
@@ -361,6 +389,109 @@ func TestBlockProfileCDFTotalOrder(t *testing.T) {
 					t.Fatalf("CDF at %v = (%v, %v), want (%v, %v)", points[i], p[i], s[i], wantP[i], wantS[i])
 				}
 			}
+		}
+	}
+}
+
+// refProfile is the map-backed BlockProfile the dense counts
+// replaced: every key in one map, Figure 2's order by descending
+// primary count and then ascending key.
+type refProfile map[uint64][2]uint64
+
+func (r refProfile) add(key, d, s uint64) {
+	c := r[key]
+	c[0] += d
+	c[1] += s
+	r[key] = c
+}
+
+func (r refProfile) totals() (p, s uint64) {
+	for _, c := range r {
+		p += c[0]
+		s += c[1]
+	}
+	return
+}
+
+func (r refProfile) cdf(points []float64) (primary, secondary []float64) {
+	keys := make([]uint64, 0, len(r))
+	for k := range r {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		ci, cj := r[keys[i]], r[keys[j]]
+		if ci[0] != cj[0] {
+			return ci[0] > cj[0]
+		}
+		return keys[i] < keys[j]
+	})
+	totP, totS := r.totals()
+	var cumP, cumS uint64
+	idx := 0
+	for _, p := range points {
+		for upto := int(p * float64(len(keys))); idx < upto && idx < len(keys); idx++ {
+			cumP += r[keys[idx]][0]
+			cumS += r[keys[idx]][1]
+		}
+		var fp, fs float64
+		if totP > 0 {
+			fp = float64(cumP) / float64(totP)
+		}
+		if totS > 0 {
+			fs = float64(cumS) / float64(totS)
+		}
+		primary, secondary = append(primary, fp), append(secondary, fs)
+	}
+	return
+}
+
+// TestBlockProfileMatchesMap: the dense counts must report exactly
+// what one map of every key reports: Len, Totals, and the CDF at 101
+// points. The keys mix block-aligned ones below the dense bound (some
+// added with no events), aligned ones past it, unaligned ones, and
+// repeats of each; small counts make ties, so the key tie-break
+// decides the secondary sums.
+func TestBlockProfileMatchesMap(t *testing.T) {
+	const block = 32
+	b, ref := NewBlockProfile(block), refProfile{}
+	rng := NewRNG(7)
+	var keys []uint64
+	for i := 0; i < 3000; i++ {
+		var key uint64
+		switch rng.Intn(5) {
+		case 0, 1: // dense
+			key = uint64(rng.Intn(20000)) * block
+		case 2: // aligned, past the dense bound
+			key = uint64(profileDenseBlocks+rng.Intn(1000)) * block
+		case 3: // unaligned
+			key = uint64(rng.Intn(20000))*block + 1 + uint64(rng.Intn(block-1))
+		default: // a repeat
+			if len(keys) > 0 {
+				key = keys[rng.Intn(len(keys))]
+			}
+		}
+		keys = append(keys, key)
+		d, s := uint64(rng.Intn(4)), uint64(rng.Intn(3))
+		b.Add(key, d, s)
+		ref.add(key, d, s)
+	}
+	if b.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", b.Len(), len(ref))
+	}
+	gp, gs := b.Totals()
+	wp, ws := ref.totals()
+	if gp != wp || gs != ws {
+		t.Fatalf("Totals = %d/%d, want %d/%d", gp, gs, wp, ws)
+	}
+	points := make([]float64, 101)
+	for i := range points {
+		points[i] = float64(i) / 100
+	}
+	p, s := b.CDF(points)
+	rp, rs := ref.cdf(points)
+	for i := range points {
+		if p[i] != rp[i] || s[i] != rs[i] {
+			t.Fatalf("CDF at %v = (%v, %v), want (%v, %v)", points[i], p[i], s[i], rp[i], rs[i])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -91,30 +92,71 @@ func log2u(v uint64) int {
 
 // BlockProfile accumulates per-key event counts (e.g. misses and CtoC
 // transfers per memory block) and produces the cumulative distribution
-// the paper plots in Figure 2.
+// the paper plots in Figure 2. Keys are block addresses. Both
+// simulators address a dense region starting at zero, so a key that is
+// a multiple of the block size and below profileDenseBlocks blocks is
+// counted in a slice indexed by block number, grown on demand; any
+// other key is counted in a map. A key counts once it has been added,
+// even with zero events, wherever it is kept.
 type BlockProfile struct {
-	counts map[uint64][2]uint64 // key -> {primary, secondary}
+	shift  uint                 // log2(block bytes)
+	dense  [][2]uint64          // block number -> {primary, secondary}
+	seen   []uint64             // bit i set: block number i has been added
+	sparse map[uint64][2]uint64 // any other key -> {primary, secondary}
 }
 
-// NewBlockProfile returns an empty profile.
-func NewBlockProfile() *BlockProfile {
-	return &BlockProfile{counts: make(map[uint64][2]uint64)}
+// profileDenseBlocks bounds the dense counts at 2^21 blocks (32 MiB
+// fully grown), the same bound as tracesim's flat home directory.
+const profileDenseBlocks = 1 << 21
+
+// NewBlockProfile returns an empty profile whose dense counts are
+// indexed by key / blockBytes. Keys that are not a multiple of
+// blockBytes are still counted exactly, in the map.
+func NewBlockProfile(blockBytes int) *BlockProfile {
+	b := &BlockProfile{sparse: make(map[uint64][2]uint64)}
+	for n := blockBytes; n > 1; n >>= 1 {
+		b.shift++
+	}
+	return b
 }
 
 // Add records d primary events and s secondary events for key.
 func (b *BlockProfile) Add(key uint64, d, s uint64) {
-	c := b.counts[key]
+	if idx := key >> b.shift; idx<<b.shift == key && idx < profileDenseBlocks {
+		if idx >= uint64(len(b.dense)) {
+			b.dense = append(b.dense, make([][2]uint64, int(idx)+1-len(b.dense))...)
+			if words := int(idx>>6) + 1; words > len(b.seen) {
+				b.seen = append(b.seen, make([]uint64, words-len(b.seen))...)
+			}
+		}
+		b.seen[idx>>6] |= 1 << (idx & 63)
+		c := &b.dense[idx]
+		c[0] += d
+		c[1] += s
+		return
+	}
+	c := b.sparse[key]
 	c[0] += d
 	c[1] += s
-	b.counts[key] = c
+	b.sparse[key] = c
 }
 
 // Len reports the number of distinct keys.
-func (b *BlockProfile) Len() int { return len(b.counts) }
+func (b *BlockProfile) Len() int {
+	n := len(b.sparse)
+	for _, w := range b.seen {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Totals returns the grand totals of primary and secondary events.
 func (b *BlockProfile) Totals() (primary, secondary uint64) {
-	for _, c := range b.counts {
+	for _, c := range b.dense {
+		primary += c[0]
+		secondary += c[1]
+	}
+	for _, c := range b.sparse {
 		primary += c[0]
 		secondary += c[1]
 	}
@@ -133,8 +175,14 @@ func (b *BlockProfile) CDF(points []float64) (primary, secondary []float64) {
 		key uint64
 		c   [2]uint64
 	}
-	all := make([]kv, 0, len(b.counts))
-	for k, c := range b.counts {
+	all := make([]kv, 0, b.Len())
+	for w, word := range b.seen {
+		for ; word != 0; word &= word - 1 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			all = append(all, kv{uint64(idx) << b.shift, b.dense[idx]})
+		}
+	}
+	for k, c := range b.sparse {
 		all = append(all, kv{k, c})
 	}
 	sort.Slice(all, func(i, j int) bool {

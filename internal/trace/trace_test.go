@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
@@ -204,5 +206,42 @@ func TestReaderSourceRetainsStreamError(t *testing.T) {
 	}
 	if cut.Err() == nil || !strings.Contains(cut.Err().Error(), "truncated") {
 		t.Fatalf("truncation not retained: %v", cut.Err())
+	}
+}
+
+// TestSynthStreamPinned pins the first 1M records of the TPC-C and
+// TPC-D generators to a SHA-256 of their binary trace encoding, so a
+// change to any draw (the RNG, the Zipf sampler, the reference mix)
+// fails here directly rather than through a simulated statistic.
+func TestSynthStreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  SynthConfig
+		want string
+	}{
+		{"tpcc", TPCC(1_000_000), "482548d74ac016ee5c8884c8e836cfbb591443be5e0a8772d8fb684d4322a7e7"},
+		{"tpcd", TPCD(1_000_000), "8063269adaa5e5d902479792e5a8000eab90a0742e57b94ee14ea9ae9d6d6d07"},
+	} {
+		h := sha256.New()
+		w := NewWriter(h)
+		src := NewSynth(c.cfg)
+		for {
+			rec, ok := src.Next()
+			if !ok {
+				break
+			}
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Count() != c.cfg.Refs {
+			t.Fatalf("%s: %d records, want %d", c.name, w.Count(), c.cfg.Refs)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: sha256 of the first %d records = %s, want %s", c.name, c.cfg.Refs, got, c.want)
+		}
 	}
 }

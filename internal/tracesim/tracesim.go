@@ -238,7 +238,7 @@ func New(cfg Config) (*Sim, error) {
 		caches:  make([]*cache.Cache, cfg.Procs),
 		dirHi:   make(map[uint64]*dent),
 		clocks:  make([]uint64, cfg.Procs),
-		Profile: sim.NewBlockProfile(),
+		Profile: sim.NewBlockProfile(cfg.BlockBytes),
 	}
 	for i := range s.caches {
 		s.caches[i] = cache.MustNew(cache.Config{
@@ -294,12 +294,25 @@ func (s *Sim) ent(b uint64) *dent {
 	return e
 }
 
-// sdInvalidateAll clears every switch's entry for b (the zero-time
-// equivalent of the copyback/writeback invalidations travelling the
-// forward path).
-func (s *Sim) sdInvalidateAll(b uint64) {
-	for _, d := range s.sdirs {
-		d.invalidate(b)
+// sdInvalidate clears the switch entries for b while its home record
+// is Modified with the given owner, as the record leaves Modified or
+// changes owner (the zero-time equivalent of the copyback/writeback
+// invalidations travelling the forward path).
+//
+// A block's entries exist only while its home record is Modified, and
+// only on the backward path from home(b) to the record's owner:
+// sdInsertBackward, the only insert, runs in write right after every
+// entry for b has been cleared and the record made Modified with the
+// writer as owner, and every later transition that leaves Modified or
+// changes the owner (finishCtoC, a dirty eviction in fill, the next
+// write) clears that path here, with the owner from before the
+// transition. Replacement only removes entries. So walking that one
+// path clears every entry for b (2 switches of 8 at 16 nodes and radix
+// 4), and a record that is not Modified has none to clear.
+func (s *Sim) sdInvalidate(b uint64, owner int) {
+	s.swBuf = s.tp.AppendSwitchesBackward(s.swBuf[:0], s.home(b), owner)
+	for _, sw := range s.swBuf {
+		s.sdirs[s.tp.SwitchOrdinal(sw)].invalidate(b)
 	}
 }
 
@@ -428,12 +441,12 @@ func (s *Sim) read(p int, b uint64) uint64 {
 // and all switch entries die (the copyback's path in zero time).
 func (s *Sim) finishCtoC(p int, b uint64, e *dent, owner int) {
 	s.caches[owner].Downgrade(b)
+	if s.sdirs != nil {
+		s.sdInvalidate(b, e.owner)
+	}
 	e.state = dShared
 	e.sharers = (1 << uint(owner)) | (1 << uint(p))
 	e.owner = 0
-	if s.sdirs != nil {
-		s.sdInvalidateAll(b)
-	}
 	s.fill(p, b, cache.Shared)
 }
 
@@ -457,12 +470,15 @@ func (s *Sim) write(p int, b uint64) {
 			}
 		}
 	}
+	owned, prev := e.state == dModified, e.owner
 	e.state, e.owner, e.sharers = dModified, p, 0
 	s.fill(p, b, cache.Modified)
 	if s.sdirs != nil {
 		// The write request invalidates entries en route; the write
 		// reply installs the new ownership along the backward path.
-		s.sdInvalidateAll(b)
+		if owned {
+			s.sdInvalidate(b, prev)
+		}
 		s.sdInsertBackward(b, s.home(b), p)
 	}
 }
@@ -477,7 +493,7 @@ func (s *Sim) fill(p int, b uint64, st cache.State) {
 	if v.State == cache.Modified && ve.state == dModified && ve.owner == p {
 		ve.state, ve.sharers = dUncached, 0
 		if s.sdirs != nil {
-			s.sdInvalidateAll(v.Addr)
+			s.sdInvalidate(v.Addr, p)
 		}
 	} else if v.State == cache.Shared && ve.state == dShared {
 		ve.sharers &^= 1 << uint(p)

@@ -1,8 +1,10 @@
 package tracesim
 
 import (
+	"fmt"
 	"testing"
 
+	"dresar/internal/sim"
 	"dresar/internal/trace"
 )
 
@@ -102,6 +104,12 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// TestStaleSwitchEntryBouncesToHome covers the stale-entry branch of
+// read, which no trace reaches: by the invariant
+// TestSwitchEntriesOnOwnerPath checks, a valid entry always names the
+// current owner of a Modified block, so every run reports stale=0. The
+// test therefore builds its stale entry by hand, outside that
+// invariant, and checks only the bounce itself.
 func TestStaleSwitchEntryBouncesToHome(t *testing.T) {
 	cfg := DefaultConfig().WithSDir(1024)
 	s := MustNew(cfg)
@@ -128,6 +136,68 @@ func TestStaleSwitchEntryBouncesToHome(t *testing.T) {
 	}
 	if st.ReadLatency != 200+320 {
 		t.Fatalf("latency = %d", st.ReadLatency)
+	}
+}
+
+// checkSwitchEntries checks the invariant sdInvalidate rests on: every
+// valid switch-directory entry's block is Modified at its home, the
+// entry names the home record's owner, and the switch lies on the
+// backward path from the block's home to that owner.
+func checkSwitchEntries(s *Sim) error {
+	for ord, d := range s.sdirs {
+		for _, set := range d.sets {
+			for _, en := range set {
+				if !en.valid {
+					continue
+				}
+				e := s.ent(en.tag)
+				if e.state != dModified || e.owner != en.owner {
+					return fmt.Errorf("switch %d holds %#x for P%d; home record state %d owner P%d", ord, en.tag, en.owner, e.state, e.owner)
+				}
+				onPath := false
+				for _, sw := range s.tp.SwitchesBackward(s.home(en.tag), e.owner) {
+					onPath = onPath || s.tp.SwitchOrdinal(sw) == ord
+				}
+				if !onPath {
+					return fmt.Errorf("switch %d holds %#x, off the path from home P%d to owner P%d", ord, en.tag, s.home(en.tag), e.owner)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestSwitchEntriesOnOwnerPath runs random traces and checks the
+// switch-entry invariant after every record. Tiny caches force dirty
+// evictions, and 4-entry switch directories force entry replacement;
+// a pool of 512 blocks over 32 pages gives every node blocks to home.
+func TestSwitchEntriesOnOwnerPath(t *testing.T) {
+	for _, g := range []struct{ procs, radix int }{{16, 4}, {16, 2}, {64, 4}} {
+		cfg := DefaultConfig().WithSDir(4)
+		cfg.Procs, cfg.Radix = g.procs, g.radix
+		cfg.CacheBytes = 2048 // 64 lines, 16 sets
+		s := MustNew(cfg)
+		rng := sim.NewRNG(uint64(g.procs * g.radix))
+		for i := 0; i < 30000; i++ {
+			rec := trace.Rec{
+				Pid:  uint8(rng.Intn(g.procs)),
+				Addr: uint64(rng.Intn(32))*4096 + uint64(rng.Intn(16))*32,
+			}
+			if rng.Intn(5) < 2 {
+				rec.Op = trace.Store
+			}
+			s.step(rec)
+			if err := checkSwitchEntries(s); err != nil {
+				t.Fatalf("%d nodes radix %d, after record %d (%+v): %v", g.procs, g.radix, i, rec, err)
+			}
+		}
+		var dirty uint64
+		for _, c := range s.caches {
+			dirty += c.Stats.DirtyEvic
+		}
+		if st := s.Stats; st.StaleSDir != 0 || st.CtoCSwitch == 0 || dirty == 0 {
+			t.Fatalf("%d nodes radix %d: stale=%d ctocSwitch=%d dirtyEvictions=%d, want 0, >0, >0", g.procs, g.radix, st.StaleSDir, st.CtoCSwitch, dirty)
+		}
 	}
 }
 

@@ -232,12 +232,14 @@ func newWorkload(app string, size, iters, nodes int) (workload.Workload, error) 
 }
 
 // checkFlags rejects the flag values that main would quietly turn into
-// a different run: a negative count (read as the base system, a
-// feature switched off, or an empty or 1-point kernel), no SOR
-// iterations, an explicit -iters (itersSet) for a kernel other than
-// SOR, which has no iteration count, an FFT size that NewFFT would
-// round up to a power of four, an LU size that is not whole blocks, a
-// radix key count that is not a power of two, and an unknown kernel.
+// a different run or fail on: a negative count (read as the base
+// system, a feature switched off, or an empty or 1-point kernel), an
+// -entries or -swcache the switch directories or switch caches cannot
+// be built with (their own geometry checks), no SOR iterations, an
+// explicit -iters (itersSet) for a kernel other than SOR, which has no
+// iteration count, an FFT size that NewFFT would round up to a power
+// of four, an LU size that is not whole blocks, a radix key count that
+// is not a power of two, and an unknown kernel.
 func checkFlags(app string, size, iters int, itersSet bool, entries, pending, swc int) error {
 	for _, f := range []struct {
 		name string
@@ -245,6 +247,16 @@ func checkFlags(app string, size, iters int, itersSet bool, entries, pending, sw
 	}{{"entries", entries}, {"pending", pending}, {"swcache", swc}, {"size", size}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s %d: want a count >= 0", f.name, f.v)
+		}
+	}
+	if entries > 0 {
+		if err := core.DefaultConfig().WithSwitchDir(entries).SwitchDir.Validate(); err != nil {
+			return fmt.Errorf("-entries %d: %v", entries, err)
+		}
+	}
+	if swc > 0 {
+		if err := core.DefaultConfig().WithSwitchCache(swc).SwitchCache.Validate(); err != nil {
+			return fmt.Errorf("-swcache %d: %v", swc, err)
 		}
 	}
 	if iters < 1 {

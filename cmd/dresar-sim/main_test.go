@@ -24,6 +24,14 @@ func TestCheckFlags(t *testing.T) {
 		{"negative entries", func(f *flags) { f.entries = -5 }, true},
 		{"negative pending", func(f *flags) { f.pending = -3 }, true},
 		{"negative swcache", func(f *flags) { f.swc = -1 }, true},
+		{"entries 4", func(f *flags) { f.entries = 4 }, false},
+		{"entries 768", func(f *flags) { f.entries = 768 }, true},
+		{"entries 10", func(f *flags) { f.entries = 10 }, true},
+		{"swcache 4", func(f *flags) { f.swc = 4 }, false},
+		{"swcache 512", func(f *flags) { f.swc = 512 }, false},
+		{"swcache 24", func(f *flags) { f.swc = 24 }, true},
+		{"swcache 10", func(f *flags) { f.swc = 10 }, true},
+		{"swcache 768 on the base system", func(f *flags) { f.entries, f.swc = 0, 768 }, true},
 		{"fft 1024", func(f *flags) { f.size = 1024 }, false},
 		{"fft 16K", func(f *flags) { f.size = 16384 }, false},
 		{"fft 1000", func(f *flags) { f.size = 1000 }, true},

@@ -41,7 +41,7 @@ func main() {
 		f, err := os.Open(*in)
 		fail(err)
 		defer f.Close()
-		fileSrc = &trace.ReaderSource{R: trace.NewReader(f)}
+		fileSrc = &trace.ReaderSource{R: trace.NewReader(f), Procs: cfg.Procs}
 		src = fileSrc
 	} else {
 		switch *kind {
@@ -57,7 +57,8 @@ func main() {
 
 	st := s.Run(src)
 	if fileSrc != nil {
-		// A malformed/truncated trace stops the stream early; report
+		// A malformed or truncated trace, or a record naming a
+		// processor the machine lacks, stops the stream early; report
 		// it instead of printing stats for a partial run.
 		fail(fileSrc.Err())
 		if st.Refs == 0 {
@@ -75,11 +76,18 @@ func main() {
 }
 
 // checkFlags rejects the flag values that main would quietly turn into
-// a different run: a negative -entries (read as the base system) and,
-// for a synthetic trace, -refs 0 (an empty run).
+// a different run or fail on: a negative -entries (read as the base
+// system), an -entries the switch directories cannot be built with
+// (tracesim.New's own check) and, for a synthetic trace, -refs 0 (an
+// empty run).
 func checkFlags(in string, refs uint64, entries int) error {
 	if entries < 0 {
 		return fmt.Errorf("-entries %d: want a count >= 0", entries)
+	}
+	if entries > 0 {
+		if _, err := tracesim.New(tracesim.DefaultConfig().WithSDir(entries)); err != nil {
+			return fmt.Errorf("-entries %d: %v", entries, err)
+		}
 	}
 	if in == "" && refs == 0 {
 		return fmt.Errorf("-refs must be positive")

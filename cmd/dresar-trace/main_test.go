@@ -15,6 +15,11 @@ func TestCheckFlags(t *testing.T) {
 		{"", 0, 1024, true},
 		{"x.trace", 0, 1024, false},
 		{"x.trace", 0, -1, true},
+		{"", 1000, 4, false},
+		{"", 1000, 16, false},
+		{"", 1000, 768, true},
+		{"", 1000, 10, true},
+		{"x.trace", 0, 24, true},
 	} {
 		if err := checkFlags(c.in, c.refs, c.entries); (err != nil) != c.bad {
 			t.Errorf("checkFlags(%q, %d, %d) = %v, want an error: %v", c.in, c.refs, c.entries, err, c.bad)

@@ -8,8 +8,9 @@
 //	figures [-fig N] [-scale small|paper] [-apps fft,tc,...] [-sizes 0,256,...]
 //
 // With no -fig, every paper figure is produced. Figures 8–11 share one
-// (app × directory-size) sweep. An unknown -fig or a negative size
-// exits 2.
+// (app × directory-size) sweep. An unknown -fig or -scale, or a size
+// that is negative or that the switch directories cannot be built with
+// (such as 768: 192 sets of 4 ways), exits 2 before any cell runs.
 package main
 
 import (
@@ -30,33 +31,12 @@ func main() {
 	sizesStr := flag.String("sizes", "0,256,512,1024,2048", "switch-directory sizes (0 = base)")
 	csvOut := flag.String("csv", "", "also write the raw sweep (and Fig 2 CDF) as CSV to this file prefix")
 	flag.Parse()
-	switch *fig {
-	case 0, 1, 2, 8, 9, 10, 11, 12, 13:
-	default:
-		fmt.Fprintf(os.Stderr, "figures: no figure %d\n", *fig)
-		os.Exit(2)
-	}
-
-	var scale figures.Scale
-	switch *scaleStr {
-	case "small":
-		scale = figures.ScaleSmall
-	case "paper":
-		scale = figures.ScalePaper
-	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown scale %q\n", *scaleStr)
+	scale, sizes, err := checkFlags(*fig, *scaleStr, *sizesStr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(2)
 	}
 	apps := strings.Split(*appsStr, ",")
-	var sizes []int
-	for _, s := range strings.Split(*sizesStr, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 0 {
-			fmt.Fprintf(os.Stderr, "figures: bad size %q: want a switch-directory entry count >= 0\n", s)
-			os.Exit(2)
-		}
-		sizes = append(sizes, n)
-	}
 
 	want := func(n int) bool { return *fig == 0 || *fig == n }
 
@@ -102,6 +82,35 @@ func main() {
 		die(err)
 		fmt.Println(text)
 	}
+}
+
+// checkFlags validates -fig, -scale and -sizes and returns the scale
+// and the sizes. Every size must be one each sweep cell can be built
+// with (figures.CheckSizes), so that a bad one fails before any cell
+// runs.
+func checkFlags(fig int, scale, sizes string) (figures.Scale, []int, error) {
+	switch fig {
+	case 0, 1, 2, 8, 9, 10, 11, 12, 13:
+	default:
+		return 0, nil, fmt.Errorf("no figure %d", fig)
+	}
+	sc := figures.ScaleSmall
+	switch scale {
+	case "small":
+	case "paper":
+		sc = figures.ScalePaper
+	default:
+		return 0, nil, fmt.Errorf("unknown scale %q", scale)
+	}
+	var ns []int
+	for _, s := range strings.Split(sizes, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return 0, nil, fmt.Errorf("bad size %q: want a switch-directory entry count >= 0", s)
+		}
+		ns = append(ns, n)
+	}
+	return sc, ns, figures.CheckSizes(ns)
 }
 
 func die(err error) {

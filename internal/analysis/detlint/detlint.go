@@ -43,20 +43,30 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// scope is the set of packages forming the simulator's event path.
-// Packages outside it (workload synthesis, figures, CLIs) may use maps
-// and clocks freely; fixture packages (non-dresar paths) are always in
-// scope so the analyzer is testable.
+// scope is the set of packages whose code decides a simulated result:
+// the execution-driven machine's event path (its switch caches snoop
+// inside xbar), its fault injector and protocol monitor, the
+// trace-driven simulator and its traces, and figures, which runs both.
+// Packages outside it (workload synthesis, the serving layer, CLIs)
+// may use maps and clocks freely; fixture packages (non-dresar paths)
+// are always in scope so the analyzer is testable.
 var scope = map[string]bool{
-	"dresar/internal/sim":     true,
-	"dresar/internal/core":    true,
-	"dresar/internal/dirctl":  true,
-	"dresar/internal/sdir":    true,
-	"dresar/internal/node":    true,
-	"dresar/internal/cache":   true,
-	"dresar/internal/xbar":    true,
-	"dresar/internal/flit":    true,
-	"dresar/internal/figures": true,
+	"dresar/internal/sim":      true,
+	"dresar/internal/core":     true,
+	"dresar/internal/dirctl":   true,
+	"dresar/internal/sdir":     true,
+	"dresar/internal/swcache":  true,
+	"dresar/internal/node":     true,
+	"dresar/internal/cache":    true,
+	"dresar/internal/xbar":     true,
+	"dresar/internal/flit":     true,
+	"dresar/internal/topo":     true,
+	"dresar/internal/mesg":     true,
+	"dresar/internal/fault":    true,
+	"dresar/internal/check":    true,
+	"dresar/internal/trace":    true,
+	"dresar/internal/tracesim": true,
+	"dresar/internal/figures":  true,
 }
 
 // goAllowedFuncs is the scoped goroutine exception registry: package

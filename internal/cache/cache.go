@@ -1,15 +1,19 @@
-// Package cache implements the processor-side memory hierarchy of
-// Table 2: set-associative L1 and L2 caches with 32-byte lines, MSI
-// line states, strict inclusion (every L1 line is present in L2), LRU
-// replacement, a release-consistency write buffer, MSHRs for
-// outstanding misses, and a victim buffer that holds evicted dirty
-// blocks until the home acknowledges their writeback (which is what
-// lets an in-flight cache-to-cache request always find its data at the
-// owner even if the owner just replaced the line).
+// Package cache implements the simulator's set-associative array,
+// Cache, and the processor-side memory hierarchy of Table 2 built on
+// it: L1 and L2 caches with 32-byte lines, MSI line states, strict
+// inclusion (every L1 line is present in L2), LRU replacement, a
+// release-consistency write buffer, MSHRs for outstanding misses, and
+// a victim buffer that holds evicted dirty blocks until the home
+// acknowledges their writeback (which is what lets an in-flight
+// cache-to-cache request always find its data at the owner even if
+// the owner just replaced the line).
 //
-// Blocks carry a 64-bit version number instead of data bytes. Writers
-// increment the version; the test suite uses it to prove value
-// coherence end to end.
+// Every line carries a 64-bit data word instead of data bytes. In the
+// hierarchy it is the block's version: writers increment it, and the
+// test suite uses it to prove value coherence end to end. The same
+// array also serves as the trace-driven simulator's switch
+// directories, whose data word is the owner, and as the switch caches
+// of package swcache, whose data word is the cached version.
 package cache
 
 import "fmt"
@@ -67,7 +71,7 @@ type Stats struct {
 // array is built later still, at the first Insert or SetData of a
 // non-zero version: until then data is nil and every line's version
 // reads 0, which is what a zeroed array would hold. A cache that never
-// stores a version (the trace-driven simulator's) costs 10 bytes per
+// stores a version (a trace-driven processor's) costs 10 bytes per
 // line.
 //
 // tags holds each way's tag, with invalid ways holding noTag, so find
@@ -98,22 +102,31 @@ const noTag = ^uint64(0)
 // maxWays is the largest associativity a rank byte can order.
 const maxWays = 256
 
-// New builds a cache from cfg, validating geometry. The line arrays
-// are left to the first Insert.
-func New(cfg Config) (*Cache, error) {
+// Validate reports why New would reject cfg: the block size must be a
+// power of two, the ways between 1 and 256, and the lines a power-of-two
+// number of whole sets.
+func (cfg Config) Validate() error {
 	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: block size %d not a power of two", cfg.BlockBytes)
+		return fmt.Errorf("cache: block size %d not a power of two", cfg.BlockBytes)
 	}
 	if cfg.Ways <= 0 || cfg.Ways > maxWays {
-		return nil, fmt.Errorf("cache: ways %d not in [1, %d]", cfg.Ways, maxWays)
+		return fmt.Errorf("cache: ways %d not in [1, %d]", cfg.Ways, maxWays)
 	}
 	nlines := cfg.SizeBytes / cfg.BlockBytes
 	if nlines <= 0 || nlines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("cache: %d bytes / %dB blocks not divisible into %d ways", cfg.SizeBytes, cfg.BlockBytes, cfg.Ways)
+		return fmt.Errorf("cache: %d bytes / %dB blocks not divisible into %d ways", cfg.SizeBytes, cfg.BlockBytes, cfg.Ways)
 	}
-	nsets := nlines / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
+	if nsets := nlines / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a power of two", nsets)
+	}
+	return nil
+}
+
+// New builds a cache from cfg, validating geometry. The line arrays
+// are left to the first Insert.
+func New(cfg Config) (*Cache, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	c := &Cache{cfg: cfg, tags: make([]uint64, cfg.Ways), ways: uint64(cfg.Ways)}
 	for i := range c.tags {

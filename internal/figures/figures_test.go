@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"dresar/internal/core"
+	"dresar/internal/swcache"
 )
 
 func TestScientificWorkloadScales(t *testing.T) {
@@ -201,5 +204,46 @@ VC depth vs directory SRAM
 `
 	if got != want {
 		t.Errorf("Figure 13 moved:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFigE1Pinned pins extension E1 (switch directories plus 512-entry
+// switch caches) at the reduced inputs, so a change to the switch
+// caches that moves a result fails here.
+func TestFigE1Pinned(t *testing.T) {
+	got, err := FigE1(ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `Extension E1: switch directory + switch cache (conclusion's proposal)
+app       homeReads/b  homeReads/c  exec/base-d  exec/base-c  cacheServed
+fft             0.262        0.262        0.764        0.764            0
+tc              0.908        0.838        0.724        0.713          142
+sor             0.465        0.462        0.880        0.888           32
+fwa             0.902        0.727        0.949        0.927         2872
+gauss           0.895        0.801        0.891        0.870          608
+`
+	if got != want {
+		t.Errorf("extension E1 moved:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSwitchCacheEvictionsPinned pins GAUSS at the reduced input on
+// 1K-entry switch directories and 8-entry switch caches: two sets per
+// top switch, so replacement decides most of what the caches serve.
+// A set never holds two copies of one block
+// (TestRepeatedReplyKeepsOneCopy in internal/swcache), so every
+// eviction displaces a distinct block.
+func TestSwitchCacheEvictionsPinned(t *testing.T) {
+	m, s, err := runScientificW("gauss", ScaleSmall, core.DefaultConfig().WithSwitchDir(1024).WithSwitchCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.SCa.TotalStats(), (swcache.Stats{Inserts: 5233, Hits: 553, Invalidates: 1014, Evictions: 533}); got != want {
+		t.Errorf("switch-cache stats %+v, want %+v", got, want)
+	}
+	type pin struct{ cycles, cleanSwitch, homeReads uint64 }
+	if got, want := (pin{uint64(s.Cycles), s.ReadCleanSwitch, s.HomeReads}), (pin{341060, 553, 5233}); got != want {
+		t.Errorf("cycles, switch-served clean reads, home reads = %+v, want %+v", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"dresar/internal/core"
+	"dresar/internal/tracesim"
 )
 
 // cell names one (app, entries) simulation of a sweep.
@@ -51,6 +52,29 @@ func runCell(ctx context.Context, app string, scale Scale, entries int) (r Resul
 		runCellHook(app, entries)
 	}
 	return RunOneCtx(ctx, app, scale, entries)
+}
+
+// CheckSizes reports the first directory size in sizes that a sweep
+// cell could not be built with: a negative count, or one that the
+// execution-driven switch directories (sdir) or the trace-driven ones
+// (tracesim) reject by their own geometry checks. 0, the base system,
+// is always valid.
+func CheckSizes(sizes []int) error {
+	for _, n := range sizes {
+		if n < 0 {
+			return fmt.Errorf("directory size %d: want an entry count >= 0", n)
+		}
+		if n == 0 {
+			continue
+		}
+		if err := core.DefaultConfig().WithSwitchDir(n).SwitchDir.Validate(); err != nil {
+			return fmt.Errorf("directory size %d: %w", n, err)
+		}
+		if _, err := tracesim.New(tracesim.DefaultConfig().WithSDir(n)); err != nil {
+			return fmt.Errorf("directory size %d: %w", n, err)
+		}
+	}
+	return nil
 }
 
 // SweepCtx runs every app at every directory size (0 is the base

@@ -102,6 +102,21 @@ type Config struct {
 	StageMask uint
 }
 
+// Validate reports why New would reject cfg's geometry: the entries
+// must split into a power-of-two number of sets of 1 to 256 ways.
+func (cfg Config) Validate() error {
+	if cfg.Entries == 0 {
+		return fmt.Errorf("sdir: zero entries; omit the snooper instead")
+	}
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Entries%cfg.Ways != 0 {
+		return fmt.Errorf("sdir: %d entries not divisible into %d ways (at most %d)", cfg.Entries, cfg.Ways, maxWays)
+	}
+	if nsets := cfg.Entries / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("sdir: set count %d not a power of two", nsets)
+	}
+	return nil
+}
+
 // DefaultConfig returns the evaluation's 1K-entry 4-way configuration.
 func DefaultConfig() Config {
 	return Config{Entries: 1024, Ways: 4, Policy: PolicyRetry, SnoopPorts: 2}
@@ -237,19 +252,13 @@ func (f *Fabric) protoFail(sw topo.SwitchID, m *mesg.Message) {
 // New builds the switch-directory fabric for tp. Each switch's entry
 // slab is left to its first insert.
 func New(tp *topo.T, cfg Config) (*Fabric, error) {
-	if cfg.Entries == 0 {
-		return nil, fmt.Errorf("sdir: zero entries; omit the snooper instead")
-	}
-	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Entries%cfg.Ways != 0 {
-		return nil, fmt.Errorf("sdir: %d entries not divisible into %d ways (at most %d)", cfg.Entries, cfg.Ways, maxWays)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if tp.Nodes > maxNodes {
 		return nil, fmt.Errorf("sdir: %d nodes exceed the %d a 16-bit entry field can name", tp.Nodes, maxNodes)
 	}
 	nsets := cfg.Entries / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		return nil, fmt.Errorf("sdir: set count %d not a power of two", nsets)
-	}
 	if cfg.SnoopPorts <= 0 {
 		cfg.SnoopPorts = 2
 	}

@@ -12,11 +12,11 @@
 // or transfer the block passes the switch (write requests and replies,
 // CtoC requests, copybacks, writebacks, invalidations). This is
 // sufficient only for switches that every write to the block must
-// traverse — in the two-stage dance-hall BMIN, exactly the top (memory
-// side) switches: every WriteReq to block b passes TopOf(home(b)).
-// The default StageMask therefore enables only stage 1; enabling leaf
-// switches would require a sharer-style tracking protocol (the GLOW/
-// MIND direction the paper contrasts itself with).
+// traverse — in the dance-hall BMIN, exactly the top (memory side)
+// switches: every WriteReq to block b passes TopOf(home(b)). Only the
+// top stage therefore caches; caching in lower stages would require a
+// sharer-style tracking protocol (the GLOW/MIND direction the paper
+// contrasts itself with).
 //
 // A hit generates two messages: the marked data reply to the
 // requester, and an *add-sharer note* (a marked, data-bearing copyback
@@ -30,6 +30,7 @@ package swcache
 import (
 	"fmt"
 
+	"dresar/internal/cache"
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
 	"dresar/internal/topo"
@@ -38,24 +39,35 @@ import (
 
 // Config sizes the per-switch data caches.
 type Config struct {
-	// Entries is the block count per switch.
+	// Entries is the block count per switch, in 4-way sets.
 	Entries int
-	// Ways is the set associativity.
-	Ways int
-	// StageMask selects participating stages; 0 means top stage only
-	// (the only placement that is self-coherent in this topology).
-	StageMask uint
 }
+
+// ways is the data caches' associativity.
+const ways = 4
 
 // DefaultConfig returns a 512-entry 4-way top-stage cache (16KB of
 // data per switch at 32-byte blocks — SRAM comparable to the paper's
 // switch buffering).
 func DefaultConfig() Config {
-	return Config{Entries: 512, Ways: 4}
+	return Config{Entries: 512}
 }
 
-// Stats counts switch-cache events. Each switch keeps its own instance;
-// TotalStats folds them into the fabric-wide roll-up.
+// Validate reports why New would reject cfg: the entries must form a
+// power-of-two number of 4-way sets.
+func (cfg Config) Validate() error {
+	if err := cfg.array().Validate(); err != nil {
+		return fmt.Errorf("swcache: %w", err)
+	}
+	return nil
+}
+
+// array is one switch's data cache, of the machine's 32-byte blocks.
+func (cfg Config) array() cache.Config {
+	return cache.Config{SizeBytes: cfg.Entries * 32, Ways: ways, BlockBytes: 32}
+}
+
+// Stats counts switch-cache events across the fabric.
 type Stats struct {
 	Inserts     uint64
 	Hits        uint64 // reads served from a switch cache
@@ -63,76 +75,35 @@ type Stats struct {
 	Evictions   uint64
 }
 
-// add folds o into s.
-func (s *Stats) add(o *Stats) {
-	s.Inserts += o.Inserts
-	s.Hits += o.Hits
-	s.Invalidates += o.Invalidates
-	s.Evictions += o.Evictions
-}
-
-type entry struct {
-	tag     uint64
-	version uint64
-	valid   bool
-	lru     uint64
-}
-
-type dcache struct {
-	sets  [][]entry
-	nsets uint64
-	clock uint64
-
-	// stats is this switch's share of the roll-up.
-	stats Stats
-}
-
-func (d *dcache) find(b uint64) *entry {
-	set := d.sets[(b>>5)%d.nsets]
-	for i := range set {
-		if set[i].valid && set[i].tag == b {
-			return &set[i]
-		}
-	}
-	return nil
-}
-
 // Fabric implements xbar.Snooper for the switch-cache protocol.
 type Fabric struct {
-	cfg    Config
-	tp     *topo.T
-	caches []*dcache
+	tp *topo.T
+	// caches holds every switch's data cache by switch ordinal; only
+	// the top stage's are ever filled. A line's data word is the
+	// block's version. Their Stats count the hits (a read request's
+	// Access) and evictions; stats counts the rest.
+	caches []*cache.Cache
+	stats  Stats
 }
 
-// TotalStats folds every switch's counters into the fabric-wide
-// roll-up.
+// TotalStats returns the fabric-wide counters.
 func (f *Fabric) TotalStats() Stats {
-	var s Stats
-	for _, d := range f.caches {
-		s.add(&d.stats)
+	s := f.stats
+	for _, c := range f.caches {
+		s.Hits += c.Stats.Hits
+		s.Evictions += c.Stats.Evictions
 	}
 	return s
 }
 
 // New builds the fabric.
 func New(tp *topo.T, cfg Config) (*Fabric, error) {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		return nil, fmt.Errorf("swcache: bad geometry %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	nsets := cfg.Entries / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		return nil, fmt.Errorf("swcache: set count %d not a power of two", nsets)
-	}
-	if cfg.StageMask == 0 {
-		cfg.StageMask = 1 << uint(tp.Stages-1) // top stage only: self-coherent
-	}
-	f := &Fabric{cfg: cfg, tp: tp, caches: make([]*dcache, tp.NumSwitches())}
+	f := &Fabric{tp: tp, caches: make([]*cache.Cache, tp.NumSwitches())}
 	for i := range f.caches {
-		d := &dcache{sets: make([][]entry, nsets), nsets: uint64(nsets)}
-		for s := range d.sets {
-			d.sets[s] = make([]entry, cfg.Ways)
-		}
-		f.caches[i] = d
+		f.caches[i] = cache.MustNew(cfg.array())
 	}
 	return f, nil
 }
@@ -146,30 +117,24 @@ func MustNew(tp *topo.T, cfg Config) *Fabric {
 	return f
 }
 
-func (f *Fabric) active(sw topo.SwitchID) bool {
-	return f.cfg.StageMask&(1<<uint(sw.Stage)) != 0
-}
-
 // Snoop implements xbar.Snooper.
 func (f *Fabric) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) xbar.Action {
-	if !f.active(sw) {
+	if sw.Stage != f.tp.Stages-1 {
 		return xbar.Action{}
 	}
-	d := f.caches[f.tp.SwitchOrdinal(sw)]
+	c := f.caches[f.tp.SwitchOrdinal(sw)]
 	switch m.Kind {
 	case mesg.ReadReply:
-		f.insert(d, m.Addr, m.Data)
+		c.Insert(m.Addr, cache.Shared, m.Data)
+		f.stats.Inserts++
 	case mesg.ReadReq:
-		if e := d.find(m.Addr); e != nil {
-			d.stats.Hits++
-			d.clock++
-			e.lru = d.clock
+		if st, version := c.Access(m.Addr); st != cache.Invalid {
 			return xbar.Action{
 				Sink: true,
 				Generated: []*mesg.Message{
 					{
 						Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Src, Dst: mesg.P(m.Requester),
-						Requester: m.Requester, Data: e.version, Marked: true,
+						Requester: m.Requester, Data: version, Marked: true,
 						SwitchCache: true, Issued: m.Issued,
 					},
 					// Add-sharer note: a marked copyback tells the home
@@ -179,7 +144,7 @@ func (f *Fabric) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) xbar.Ac
 					// stale-copyback purge invalidates the requester.
 					{
 						Kind: mesg.CopyBack, Addr: m.Addr, Src: mesg.P(m.Requester), Dst: m.Dst,
-						Requester: m.Requester, Data: e.version, Marked: true,
+						Requester: m.Requester, Data: version, Marked: true,
 					},
 				},
 			}
@@ -191,9 +156,8 @@ func (f *Fabric) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) xbar.Ac
 		// travels processor-to-processor: it proves an owner holds a
 		// version newer than the one cached here, so serving later
 		// reads from this entry would hand out stale data.
-		if e := d.find(m.Addr); e != nil {
-			d.stats.Invalidates++
-			e.valid = false
+		if _, _, ok := c.Invalidate(m.Addr); ok {
+			f.stats.Invalidates++
 		}
 	case mesg.InvalAck, mesg.WBAck, mesg.Nack, mesg.Retry:
 		// Data-free control traffic: carries no version information.
@@ -201,36 +165,10 @@ func (f *Fabric) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) xbar.Ac
 	return xbar.Action{}
 }
 
-func (f *Fabric) insert(d *dcache, b, version uint64) {
-	set := d.sets[(b>>5)%d.nsets]
-	v := &set[0]
-	for i := range set {
-		if set[i].valid && set[i].tag == b {
-			v = &set[i]
-			break
-		}
-		if !set[i].valid {
-			v = &set[i]
-			break
-		}
-		if set[i].lru < v.lru {
-			v = &set[i]
-		}
-	}
-	if v.valid && v.tag != b {
-		d.stats.Evictions++
-	}
-	d.clock++
-	*v = entry{tag: b, version: version, valid: true, lru: d.clock}
-	d.stats.Inserts++
-}
-
 // Lookup exposes an entry for tests.
 func (f *Fabric) Lookup(sw topo.SwitchID, b uint64) (uint64, bool) {
-	if e := f.caches[f.tp.SwitchOrdinal(sw)].find(b); e != nil {
-		return e.version, true
-	}
-	return 0, false
+	st, version := f.caches[f.tp.SwitchOrdinal(sw)].Probe(b)
+	return version, st != cache.Invalid
 }
 
 // Combined chains the switch directory and the switch cache on the

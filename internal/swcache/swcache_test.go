@@ -22,21 +22,17 @@ func rreq(addr uint64, req int) *mesg.Message {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(tp16, Config{Entries: 0, Ways: 4}); err == nil {
+	if _, err := New(tp16, Config{Entries: 0}); err == nil {
 		t.Error("zero entries accepted")
 	}
-	if _, err := New(tp16, Config{Entries: 10, Ways: 4}); err == nil {
-		t.Error("bad ways accepted")
+	if _, err := New(tp16, Config{Entries: 10}); err == nil {
+		t.Error("entries that fill no whole 4-way set accepted")
 	}
-	if _, err := New(tp16, Config{Entries: 24, Ways: 4}); err == nil {
+	if _, err := New(tp16, Config{Entries: 24}); err == nil {
 		t.Error("non power-of-two sets accepted")
 	}
-	f, err := New(tp16, DefaultConfig())
-	if err != nil {
+	if _, err := New(tp16, DefaultConfig()); err != nil {
 		t.Fatal(err)
-	}
-	if f.cfg.StageMask != 1<<1 {
-		t.Fatalf("default stage mask = %b, want top-only", f.cfg.StageMask)
 	}
 }
 
@@ -124,19 +120,41 @@ func TestControlTrafficKeepsEntry(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	f := MustNew(tp16, Config{Entries: 2, Ways: 2, StageMask: 1 << 1})
-	f.Snoop(top0(), reply(0x00, 1, 1), 0)
-	f.Snoop(top0(), reply(0x20, 2, 2), 1)
-	f.Snoop(top0(), rreq(0x00, 3), 2) // touch 0x00
-	f.Snoop(top0(), reply(0x40, 3, 3), 3)
+	f := MustNew(tp16, Config{Entries: 4}) // one 4-way set
+	for i := uint64(0); i < 4; i++ {
+		f.Snoop(top0(), reply(i*0x20, 1, i+1), sim.Cycle(i))
+	}
+	f.Snoop(top0(), rreq(0x00, 3), 4) // touch 0x00: 0x20 is now the LRU
+	f.Snoop(top0(), reply(0x80, 3, 5), 5)
 	if _, ok := f.Lookup(top0(), 0x20); ok {
 		t.Fatal("LRU entry survived")
 	}
-	if _, ok := f.Lookup(top0(), 0x00); !ok {
-		t.Fatal("MRU entry evicted")
+	for _, b := range []uint64{0x00, 0x40, 0x60, 0x80} {
+		if _, ok := f.Lookup(top0(), b); !ok {
+			t.Fatalf("entry %#x evicted in place of the LRU", b)
+		}
 	}
 	if f.TotalStats().Evictions != 1 {
 		t.Fatalf("stats %+v", f.TotalStats())
+	}
+}
+
+// TestRepeatedReplyKeepsOneCopy: two read replies for one block pass
+// the switch when two readers' requests both missed it. The second must
+// update the cached copy in place, even with an invalid way ahead of
+// it, so that one invalidation leaves no copy to serve a stale version.
+func TestRepeatedReplyKeepsOneCopy(t *testing.T) {
+	f := MustNew(tp16, Config{Entries: 4}) // one 4-way set
+	f.Snoop(top0(), reply(0x00, 1, 1), 0)
+	f.Snoop(top0(), reply(0x20, 2, 2), 1)
+	f.Snoop(top0(), &mesg.Message{Kind: mesg.Inval, Addr: 0x00, Src: mesg.M(0), Dst: mesg.P(1)}, 2)
+	f.Snoop(top0(), reply(0x20, 3, 2), 3)
+	f.Snoop(top0(), &mesg.Message{Kind: mesg.WriteReq, Addr: 0x20, Src: mesg.P(4), Dst: mesg.M(0), Requester: 4}, 4)
+	if a := f.Snoop(top0(), rreq(0x20, 5), 5); a.Sink {
+		t.Fatal("a read hit a copy of 0x20 that outlived the write's invalidation")
+	}
+	if st := f.TotalStats(); st.Inserts != 3 || st.Invalidates != 2 || st.Evictions != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -110,19 +110,28 @@ type Source interface {
 // retained: callers that care about corruption (the CLI tools) must
 // check Err after the stream ends.
 type ReaderSource struct {
-	R   *Reader
-	err error
+	R *Reader
+	// Procs, when positive, is the processor count of the machine the
+	// trace feeds: a record naming processor Procs or above is
+	// malformed and ends the stream.
+	Procs int
+	n     uint64 // records returned
+	err   error
 }
 
 // Next implements Source.
 func (s *ReaderSource) Next() (Rec, bool) {
 	rec, err := s.R.Read()
+	if err == nil && s.Procs > 0 && int(rec.Pid) >= s.Procs {
+		err = fmt.Errorf("trace: record %d (byte %d) names processor %d; the machine has %d", s.n, 8*s.n, rec.Pid, s.Procs)
+	}
 	if err != nil {
 		if err != io.EOF {
 			s.err = err
 		}
 		return Rec{}, false
 	}
+	s.n++
 	return rec, true
 }
 

@@ -209,6 +209,33 @@ func TestReaderSourceRetainsStreamError(t *testing.T) {
 	}
 }
 
+// TestReaderSourceRejectsUnknownProcessor: a trace file is outside
+// input, so a record naming a processor the machine lacks must end the
+// stream with an error that names the record, not reach a simulator
+// that indexes its per-processor state by the ID.
+func TestReaderSourceRejectsUnknownProcessor(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, pid := range []uint8{15, 20, 3} {
+		if err := w.Write(Rec{Pid: pid, Op: Load, Addr: 0x40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s := &ReaderSource{R: NewReader(&buf), Procs: 16}
+	if rec, ok := s.Next(); !ok || rec.Pid != 15 {
+		t.Fatalf("first record = %+v %v, want P15", rec, ok)
+	}
+	if rec, ok := s.Next(); ok {
+		t.Fatalf("record naming P20 of 16 returned: %+v", rec)
+	}
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "record 1 ") || !strings.Contains(err.Error(), "processor 20") {
+		t.Fatalf("Err() = %v, want one naming record 1 and processor 20", err)
+	}
+}
+
 // TestSynthStreamPinned pins the first 1M records of the TPC-C and
 // TPC-D generators to a SHA-256 of their binary trace encoding, so a
 // change to any draw (the RNG, the Zipf sampler, the reference mix)

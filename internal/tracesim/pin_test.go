@@ -63,15 +63,19 @@ func checkPins(t *testing.T, cacheBytes int, entries []int, pins []workloadPins)
 // TestTraceCorpusPinned pins the trace-driven simulator, cell by cell,
 // to the values it produced when the pins were recorded: TPC-C and
 // TPC-D at 200K records on Table 3's machine, on the base system and
-// at four switch directory sizes. Any change to the synthetic traces,
-// the caches, the home directory, the switch directories or the block
-// profile that moves a simulated result fails here.
+// at six switch directory sizes. At 4 and 16 entries (one and four
+// sets) switch-entry replacement decides which dirty misses a switch
+// serves. Any change to the synthetic traces, the caches, the home
+// directory, the switch directories or the block profile that moves a
+// simulated result fails here.
 func TestTraceCorpusPinned(t *testing.T) {
-	checkPins(t, DefaultConfig().CacheBytes, []int{0, 256, 512, 1024, 2048}, []workloadPins{
+	checkPins(t, DefaultConfig().CacheBytes, []int{0, 4, 16, 256, 512, 1024, 2048}, []workloadPins{
 		{
 			name: "tpcc", mk: trace.TPCC,
 			stats: []Stats{
 				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 3686, CtoCSwitch: 0, StaleSDir: 0, Writes: 50134, ReadLatency: 16560076, CtoCLatency: 1155420, ReadStall: 15361148, ExecCycles: 1077180},
+				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 3250, CtoCSwitch: 436, StaleSDir: 0, Writes: 50134, ReadLatency: 16510956, CtoCLatency: 1106300, ReadStall: 15312028, ExecCycles: 1074540},
+				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 2713, CtoCSwitch: 973, StaleSDir: 0, Writes: 50134, ReadLatency: 16450016, CtoCLatency: 1045360, ReadStall: 15251088, ExecCycles: 1070820},
 				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 1485, CtoCSwitch: 2201, StaleSDir: 0, Writes: 50134, ReadLatency: 16309856, CtoCLatency: 905200, ReadStall: 15110928, ExecCycles: 1062540},
 				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 1120, CtoCSwitch: 2566, StaleSDir: 0, Writes: 50134, ReadLatency: 16269156, CtoCLatency: 864500, ReadStall: 15070228, ExecCycles: 1058540},
 				{Refs: 200000, Reads: 149866, ReadHits: 87312, ReadMisses: 62554, Clean: 58868, CtoCHome: 764, CtoCSwitch: 2922, StaleSDir: 0, Writes: 50134, ReadLatency: 16227936, CtoCLatency: 823280, ReadStall: 15029008, ExecCycles: 1056100},
@@ -87,6 +91,8 @@ func TestTraceCorpusPinned(t *testing.T) {
 			name: "tpcd", mk: trace.TPCD,
 			stats: []Stats{
 				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 3483, CtoCSwitch: 0, StaleSDir: 0, Writes: 61300, ReadLatency: 15543984, CtoCLatency: 1094160, ReadStall: 14434384, ExecCycles: 1011476},
+				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 3479, CtoCSwitch: 4, StaleSDir: 0, Writes: 61300, ReadLatency: 15543604, CtoCLatency: 1093780, ReadStall: 14434004, ExecCycles: 1011476},
+				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 3470, CtoCSwitch: 13, StaleSDir: 0, Writes: 61300, ReadLatency: 15542524, CtoCLatency: 1092700, ReadStall: 14432924, ExecCycles: 1011356},
 				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 3283, CtoCSwitch: 200, StaleSDir: 0, Writes: 61300, ReadLatency: 15521184, CtoCLatency: 1071360, ReadStall: 14411584, ExecCycles: 1010236},
 				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 3081, CtoCSwitch: 402, StaleSDir: 0, Writes: 61300, ReadLatency: 15498544, CtoCLatency: 1048720, ReadStall: 14388944, ExecCycles: 1008656},
 				{Refs: 200000, Reads: 138700, ReadHits: 79903, ReadMisses: 58797, Clean: 55314, CtoCHome: 2670, CtoCSwitch: 813, StaleSDir: 0, Writes: 61300, ReadLatency: 15451624, CtoCLatency: 1001800, ReadStall: 14342024, ExecCycles: 1004996},

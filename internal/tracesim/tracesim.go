@@ -37,14 +37,9 @@ type Config struct {
 	CPIGap    uint64
 	PageBytes int
 
-	// SDir enables the switch-directory interconnect; nil is base.
-	SDir *SDirConfig
-}
-
-// SDirConfig sizes the per-switch directory caches.
-type SDirConfig struct {
-	Entries int
-	Ways    int
+	// SDirEntries sizes the 4-way switch directory in every switch; 0
+	// is the base system, with none.
+	SDirEntries int
 }
 
 // DefaultConfig returns Table 3's parameters.
@@ -63,7 +58,7 @@ func DefaultConfig() Config {
 // WithSDir returns a copy with an entries-sized 4-way switch
 // directory in every switch.
 func (c Config) WithSDir(entries int) Config {
-	c.SDir = &SDirConfig{Entries: entries, Ways: 4}
+	c.SDirEntries = entries
 	return c
 }
 
@@ -117,7 +112,7 @@ func (s Stats) AvgReadLatency() float64 {
 type dent struct {
 	state   uint8 // 0 uncached, 1 shared, 2 modified
 	owner   int
-	sharers uint64
+	sharers uint64 // bit p set: processor p holds a copy
 }
 
 const (
@@ -125,66 +120,6 @@ const (
 	dShared
 	dModified
 )
-
-// sdEntry is one switch-directory line in the zero-time model: only
-// MODIFIED entries exist (transients resolve instantaneously).
-type sdEntry struct {
-	tag   uint64
-	owner int
-	valid bool
-	lru   uint64
-}
-
-type sdCache struct {
-	sets  [][]sdEntry
-	nsets uint64
-	clock uint64
-}
-
-func newSDCache(cfg SDirConfig) *sdCache {
-	nsets := cfg.Entries / cfg.Ways
-	c := &sdCache{sets: make([][]sdEntry, nsets), nsets: uint64(nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]sdEntry, cfg.Ways)
-	}
-	return c
-}
-
-func (c *sdCache) find(b uint64) *sdEntry {
-	set := c.sets[(b>>5)%c.nsets]
-	for i := range set {
-		if set[i].valid && set[i].tag == b {
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (c *sdCache) insert(b uint64, owner int) {
-	set := c.sets[(b>>5)%c.nsets]
-	v := &set[0]
-	for i := range set {
-		if set[i].valid && set[i].tag == b {
-			v = &set[i]
-			break
-		}
-		if !set[i].valid {
-			v = &set[i]
-			break
-		}
-		if set[i].lru < v.lru {
-			v = &set[i]
-		}
-	}
-	c.clock++
-	*v = sdEntry{tag: b, owner: owner, valid: true, lru: c.clock}
-}
-
-func (c *sdCache) invalidate(b uint64) {
-	if e := c.find(b); e != nil {
-		e.valid = false
-	}
-}
 
 // Sim is one trace-driven machine instance.
 type Sim struct {
@@ -198,8 +133,14 @@ type Sim struct {
 	dir        []dent
 	dirHi      map[uint64]*dent
 	blockShift uint
-	sdirs      []*sdCache
-	clocks     []uint64
+	// sdirs are the switch directories, indexed by switch ordinal, or
+	// nil in the base system. Only MODIFIED entries exist in the
+	// zero-time model (transients resolve instantaneously), so each
+	// holds a block as a Modified line whose data word is the owner.
+	// Lookups use Probe: a switch directory's LRU order changes only
+	// when an entry is installed.
+	sdirs  []*cache.Cache
+	clocks []uint64
 
 	// Profile accumulates per-block (miss, CtoC) counts for Figure 2.
 	Profile *sim.BlockProfile
@@ -226,8 +167,13 @@ const stopPollRefs = 1024
 // Stop probe tripped, making its Stats a partial measurement.
 func (s *Sim) Stopped() bool { return s.stopped }
 
-// New builds a simulator from cfg.
+// New builds a simulator from cfg. It rejects machines of more than
+// 64 processors, which the home directory's sharer map cannot name,
+// and a switch-directory size the cache array cannot build.
 func New(cfg Config) (*Sim, error) {
+	if cfg.Procs > 64 {
+		return nil, fmt.Errorf("tracesim: %d processors exceed the 64 a sharer map can name", cfg.Procs)
+	}
 	tp, err := topo.New(cfg.Procs, cfg.Radix)
 	if err != nil {
 		return nil, err
@@ -249,13 +195,14 @@ func New(cfg Config) (*Sim, error) {
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		s.blockShift++
 	}
-	if cfg.SDir != nil {
-		if cfg.SDir.Entries <= 0 || cfg.SDir.Ways <= 0 || cfg.SDir.Entries%cfg.SDir.Ways != 0 {
-			return nil, fmt.Errorf("tracesim: bad switch-directory geometry %+v", *cfg.SDir)
+	if cfg.SDirEntries != 0 {
+		sd := cache.Config{SizeBytes: cfg.SDirEntries * cfg.BlockBytes, Ways: 4, BlockBytes: cfg.BlockBytes}
+		if err := sd.Validate(); err != nil {
+			return nil, fmt.Errorf("tracesim: switch directory: %w", err)
 		}
-		s.sdirs = make([]*sdCache, tp.NumSwitches())
+		s.sdirs = make([]*cache.Cache, tp.NumSwitches())
 		for i := range s.sdirs {
-			s.sdirs[i] = newSDCache(*cfg.SDir)
+			s.sdirs[i] = cache.MustNew(sd)
 		}
 	}
 	return s, nil
@@ -312,7 +259,7 @@ func (s *Sim) ent(b uint64) *dent {
 func (s *Sim) sdInvalidate(b uint64, owner int) {
 	s.swBuf = s.tp.AppendSwitchesBackward(s.swBuf[:0], s.home(b), owner)
 	for _, sw := range s.swBuf {
-		s.sdirs[s.tp.SwitchOrdinal(sw)].invalidate(b)
+		s.sdirs[s.tp.SwitchOrdinal(sw)].Invalidate(b)
 	}
 }
 
@@ -321,7 +268,7 @@ func (s *Sim) sdInvalidate(b uint64, owner int) {
 func (s *Sim) sdInsertBackward(b uint64, home, owner int) {
 	s.swBuf = s.tp.AppendSwitchesBackward(s.swBuf[:0], home, owner)
 	for _, sw := range s.swBuf {
-		s.sdirs[s.tp.SwitchOrdinal(sw)].insert(b, owner)
+		s.sdirs[s.tp.SwitchOrdinal(sw)].Insert(b, cache.Modified, uint64(owner))
 	}
 }
 
@@ -408,16 +355,16 @@ func (s *Sim) read(p int, b uint64) uint64 {
 		s.swBuf = s.tp.AppendSwitchesForward(s.swBuf[:0], p, h)
 		for _, sw := range s.swBuf {
 			d := s.sdirs[s.tp.SwitchOrdinal(sw)]
-			if en := d.find(b); en != nil {
-				if st, _ := s.caches[en.owner].Probe(b); st == cache.Modified || st == cache.Shared {
+			if held, sdOwner := d.Probe(b); held != cache.Invalid {
+				if st, _ := s.caches[sdOwner].Probe(b); st == cache.Modified || st == cache.Shared {
 					// Served by the switch: re-routed to the owner.
 					s.Stats.CtoCSwitch++
-					s.finishCtoC(p, b, e, en.owner)
+					s.finishCtoC(p, b, e, int(sdOwner))
 					return s.cfg.SDirHit
 				}
 				// Stale entry: a NoData bounce, then home service.
 				s.Stats.StaleSDir++
-				en.valid = false
+				d.Invalidate(b)
 				s.Stats.CtoCHome++
 				s.finishCtoC(p, b, e, owner)
 				lat := s.cfg.CtoCRemote

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dresar/internal/cache"
 	"dresar/internal/sim"
 	"dresar/internal/trace"
 )
@@ -113,15 +114,15 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 func TestStaleSwitchEntryBouncesToHome(t *testing.T) {
 	cfg := DefaultConfig().WithSDir(1024)
 	s := MustNew(cfg)
-	// P0 owns the block; entries point at P0. Then P0's copy is
-	// invalidated by P3's write, whose reply path (home 0 -> P3)
-	// shares the top switch but not P1's leaf... use a manual stale
-	// state instead: insert a stale entry directly.
+	// P0's store installs entries naming P0 on the backward path from
+	// home 0 to P0, whose leaf switch P1's forward path to home 0
+	// crosses.
 	s.Run(&script{recs: []trace.Rec{
 		{Pid: 0, Op: trace.Store, Addr: 0x40},
 	}})
-	// Invalidate P0's copy behind the switch directory's back and make
-	// P5 the owner at the home (simulating a stale entry scenario).
+	// Make those entries stale behind the switch directories' back: P0
+	// loses its copy and the home records P5, which holds the block
+	// Modified, as the owner.
 	s.caches[0].Invalidate(0x40)
 	e := s.ent(0x40)
 	e.owner = 5
@@ -144,24 +145,27 @@ func TestStaleSwitchEntryBouncesToHome(t *testing.T) {
 // entry names the home record's owner, and the switch lies on the
 // backward path from the block's home to that owner.
 func checkSwitchEntries(s *Sim) error {
+	var err error
 	for ord, d := range s.sdirs {
-		for _, set := range d.sets {
-			for _, en := range set {
-				if !en.valid {
-					continue
-				}
-				e := s.ent(en.tag)
-				if e.state != dModified || e.owner != en.owner {
-					return fmt.Errorf("switch %d holds %#x for P%d; home record state %d owner P%d", ord, en.tag, en.owner, e.state, e.owner)
-				}
-				onPath := false
-				for _, sw := range s.tp.SwitchesBackward(s.home(en.tag), e.owner) {
-					onPath = onPath || s.tp.SwitchOrdinal(sw) == ord
-				}
-				if !onPath {
-					return fmt.Errorf("switch %d holds %#x, off the path from home P%d to owner P%d", ord, en.tag, s.home(en.tag), e.owner)
-				}
+		d.Lines(func(b uint64, _ cache.State, owner uint64) {
+			if err != nil {
+				return
 			}
+			e := s.ent(b)
+			if e.state != dModified || uint64(e.owner) != owner {
+				err = fmt.Errorf("switch %d holds %#x for P%d; home record state %d owner P%d", ord, b, owner, e.state, e.owner)
+				return
+			}
+			onPath := false
+			for _, sw := range s.tp.SwitchesBackward(s.home(b), e.owner) {
+				onPath = onPath || s.tp.SwitchOrdinal(sw) == ord
+			}
+			if !onPath {
+				err = fmt.Errorf("switch %d holds %#x, off the path from home P%d to owner P%d", ord, b, s.home(b), e.owner)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -308,8 +312,20 @@ func TestBadConfig(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bad topology accepted")
 	}
+	// The home directory's sharer map is 64 bits: on 128 processors a
+	// shift of 64 or more would drop the sharers at P64 and up, and a
+	// store by P0 would leave P100's Shared copy beside P0's Modified
+	// one.
+	cfg.Procs, cfg.Radix = 128, 2
+	if _, err := New(cfg); err == nil {
+		t.Fatal("128 processors accepted")
+	}
+	cfg.Procs, cfg.Radix = 64, 4
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("64 processors rejected: %v", err)
+	}
 	cfg = DefaultConfig()
-	cfg.SDir = &SDirConfig{Entries: 10, Ways: 4}
+	cfg.SDirEntries = 10
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bad sdir accepted")
 	}

@@ -6,8 +6,9 @@ all: check
 
 # The default gate: compile, formatting, static checks (go vet plus
 # the repo's own dresar-lint analyzers), tests, the repository
-# benchmark's own tests, one iteration of every package benchmark, a
-# repeat run of Figure 2 that must reproduce its output byte for byte,
+# benchmark's own tests, one iteration of every package benchmark,
+# repeat runs of Figure 2 and of Figure 8's trace-driven cells that
+# must reproduce their output byte for byte,
 # the race detector (the fault-injection and watchdog paths are
 # concurrency-sensitive by construction), and a short run of the
 # coverage-guided fuzzers.
@@ -60,16 +61,22 @@ bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Figure 2 twice from one build, text and CSV compared byte for byte
-# (about 2 s): a figure is a pure function of the simulated machine, so
-# any difference is nondeterminism in the simulator or the figure code
-# (for example, map iteration order reaching an output).
+# (about 2 s), then Figure 8 on the ten TPC-C and TPC-D cells the same
+# way (about 3.5 s a run): those cells run on the sweep's worker pool,
+# each reading its trace ahead on a second goroutine. A figure is a
+# pure function of the simulated machine, so any difference is
+# nondeterminism in the simulator or the figure code (for example, map
+# iteration order reaching an output).
 figures-repeat:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	go build -o "$$d/figures" ./cmd/figures && \
 	"$$d/figures" -fig 2 -csv "$$d/a" > "$$d/a.txt" && \
 	"$$d/figures" -fig 2 -csv "$$d/b" > "$$d/b.txt" && \
 	cmp "$$d/a.txt" "$$d/b.txt" && cmp "$$d/a_fig2.csv" "$$d/b_fig2.csv" && \
-	echo "figures-repeat: Figure 2 text and CSV identical across two runs"
+	"$$d/figures" -fig 8 -apps tpcc,tpcd -csv "$$d/c" > "$$d/c.txt" && \
+	"$$d/figures" -fig 8 -apps tpcc,tpcd -csv "$$d/d" > "$$d/d.txt" && \
+	cmp "$$d/c.txt" "$$d/d.txt" && cmp "$$d/c_sweep.csv" "$$d/d_sweep.csv" && \
+	echo "figures-repeat: Figure 2 and Figure 8 (TPC cells) text and CSV identical across two runs"
 
 # One race pass over everything, the serving layer (the package the
 # lockheld/ctxflow analyzers guard statically) and the figure sweep's

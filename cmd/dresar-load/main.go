@@ -231,8 +231,10 @@ func main() {
 // runSubmitOnly submits n jobs and exits without waiting — the
 // pre-crash half of the kill -9 harness. Job i's spec appends a
 // distinct extra size so every job is unique work (no cache dedupe on
-// the first pass) and the recovered server has real re-running to do;
-// the stride of 4 keeps every size a valid 4-way directory geometry.
+// the first pass) and the recovered server has real re-running to do.
+// The sizes double from 4 entries, so each is a power-of-two number of
+// 4-way sets that every cell can build; past 19 jobs they leave the
+// server's [0, 2^20] range and the submit is refused.
 // Accepted IDs are recorded one per line for a later -wait-ids pass.
 func runSubmitOnly(base, tenant string, spec serve.JobSpec, n int, idsFile string) int {
 	c := &serve.Client{Base: base, Tenant: tenant}
@@ -241,7 +243,7 @@ func runSubmitOnly(base, tenant string, spec serve.JobSpec, n int, idsFile strin
 	var ids []string
 	for i := 0; i < n; i++ {
 		s := spec
-		s.Sizes = append(append([]int{}, spec.Sizes...), 1024+4*i)
+		s.Sizes = append(append([]int{}, spec.Sizes...), 4<<i)
 		st, err := c.Submit(ctx, s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dresar-load: submit %d: %v\n", i, err)

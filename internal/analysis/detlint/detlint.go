@@ -15,11 +15,13 @@
 //     (environment side channels around the explicit configuration);
 //   - `go` statements (each engine is strictly single-threaded;
 //     goroutine interleaving is nondeterministic by definition). The
-//     exception is registered per *function* (goAllowedFuncs), not per
-//     package: figures.SweepCtx fans whole single-threaded simulations
-//     out over a worker pool and joins them. Everywhere else, including
-//     the rest of package figures and all of package sim, `go` stays
-//     flagged.
+//     exceptions are registered per *function* (goAllowedFuncs), not
+//     per package: figures.SweepCtx fans whole single-threaded
+//     simulations out over a worker pool and joins them, and
+//     tracesim's (*Sim).simulate reads the trace ahead on one
+//     goroutine into a FIFO that one goroutine simulates in order.
+//     Everywhere else, including the rest of packages figures and
+//     tracesim and all of packages sim and trace, `go` stays flagged.
 //
 // A map range is allowed when its body is order-insensitive: pure
 // reads, accumulation through builtins (`keys = append(keys, k)`
@@ -71,16 +73,19 @@ var scope = map[string]bool{
 
 // goAllowedFuncs is the scoped goroutine exception registry: package
 // path -> exact function names (methods spelled "(*Recv).Name") whose
-// bodies may start goroutines. Admitted is only the one place where
-// goroutines provably cannot perturb simulated behavior: SweepCtx
-// joins independent single-threaded simulations before returning. A
-// `go` statement anywhere else in a scope package — including
-// elsewhere in package figures — is flagged; every other rule (map
-// order, wall clock, global rand) applies inside the admitted function
-// too. "sweep" is the fixture.
+// bodies may start goroutines. Admitted are only the places where
+// goroutines provably cannot perturb simulated behavior, and each
+// joins its goroutines before returning. SweepCtx runs independent
+// single-threaded simulations. (*Sim).simulate's one goroutine only
+// produces trace records, in source order, into a FIFO, and one
+// goroutine simulates them. A `go` statement anywhere else in a scope
+// package — including elsewhere in packages figures and tracesim — is
+// flagged; every other rule (map order, wall clock, global rand)
+// applies inside the admitted functions too. "sweep" is the fixture.
 var goAllowedFuncs = map[string]map[string]bool{
-	"dresar/internal/figures": {"SweepCtx": true},
-	"sweep":                   {"pool": true},
+	"dresar/internal/figures":  {"SweepCtx": true},
+	"dresar/internal/tracesim": {"(*Sim).simulate": true},
+	"sweep":                    {"pool": true},
 }
 
 // pureBuiltins never make a map-range body order-sensitive.

@@ -94,6 +94,11 @@ func (s *JobSpec) Canonicalize() error {
 			return fmt.Errorf("directory size %d out of range [0, 2^20]", n)
 		}
 	}
+	// A size no cell can build (such as 768: 192 sets of 4 ways) is
+	// refused here, not admitted to fail later in its cell.
+	if err := figures.CheckSizes(s.Sizes); err != nil {
+		return err
+	}
 	if s.Workers < 0 || s.DeadlineMS < 0 {
 		return errors.New("workers and deadline_ms must be non-negative")
 	}

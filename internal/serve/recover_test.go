@@ -141,7 +141,7 @@ func TestRestartResume(t *testing.T) {
 	}
 
 	// The ID sequence continues past the recovered jobs.
-	j5, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{7}})
+	j5, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{8}})
 	if je != nil {
 		t.Fatal(je)
 	}
@@ -357,7 +357,7 @@ func TestRegistryEvictionKeepsLiveJobs(t *testing.T) {
 
 	var live []*Job
 	for i := 0; i < 3; i++ {
-		j, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{i}})
+		j, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{4 << i}})
 		if je != nil {
 			t.Fatal(je)
 		}
@@ -378,7 +378,7 @@ func TestRegistryEvictionKeepsLiveJobs(t *testing.T) {
 		}
 	}
 	// New submissions evict the oldest terminal jobs down to the bound.
-	j4, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{99}})
+	j4, je := s.Submit(JobSpec{Apps: []string{"fft"}, Sizes: []int{128}})
 	if je != nil {
 		t.Fatal(je)
 	}

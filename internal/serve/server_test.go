@@ -93,6 +93,41 @@ func TestSubmitBadSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitChecksGeometry: a directory size that no cell can build is
+// refused at submit with the geometry check's message, while the base
+// system, the sweep's sizes and every size serve-mix submits as a cache
+// miss (4·2^k entries, k ≤ 13) are admitted.
+func TestSubmitChecksGeometry(t *testing.T) {
+	s := newTestServer(t, Config{QueueDepth: 64}, instantSweep)
+	for _, c := range []struct {
+		app  string
+		size int
+	}{{"fft", 768}, {"tpcc", 10}} {
+		spec := JobSpec{Apps: []string{c.app}, Sizes: []int{c.size}}
+		_, je := s.Submit(spec)
+		if je == nil || je.Kind != KindBadRequest {
+			t.Errorf("Submit(%+v) error = %v, want bad_request", spec, je)
+			continue
+		}
+		if want := figures.CheckSizes([]int{c.size}).Error(); je.Message != want {
+			t.Errorf("Submit(%+v) message %q, want %q", spec, je.Message, want)
+		}
+	}
+	sizes := [][]int{{0, 1024}}
+	for k := 0; k <= 13; k++ {
+		sizes = append(sizes, []int{4 << k})
+	}
+	for _, sz := range sizes {
+		spec := JobSpec{Apps: []string{"fft", "tpcc"}, Sizes: sz}
+		j, je := s.Submit(spec)
+		if je != nil {
+			t.Errorf("Submit(%+v) refused: %v", spec, je)
+			continue
+		}
+		<-j.Done()
+	}
+}
+
 func TestSubmitRuns(t *testing.T) {
 	s := newTestServer(t, Config{}, instantSweep)
 	j, je := s.Submit(spec1())

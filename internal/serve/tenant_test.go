@@ -145,14 +145,14 @@ func TestWeightedFairDispatch(t *testing.T) {
 	hold, _ := s.Submit(spec1()) // occupy the worker so both queues back up
 	waitState(t, hold, StateRunning)
 	for i := 0; i < 6; i++ {
-		j, je := s.SubmitAs("flood", JobSpec{Apps: []string{"fft"}, Sizes: []int{i + 1}})
+		j, je := s.SubmitAs("flood", JobSpec{Apps: []string{"fft"}, Sizes: []int{4 << i}})
 		if je != nil {
 			t.Fatal(je)
 		}
 		jobs = append(jobs, j)
 	}
 	for i := 0; i < 3; i++ {
-		j, je := s.SubmitAs("calm", JobSpec{Apps: []string{"tc"}, Sizes: []int{i + 1}})
+		j, je := s.SubmitAs("calm", JobSpec{Apps: []string{"tc"}, Sizes: []int{4 << i}})
 		if je != nil {
 			t.Fatal(je)
 		}

@@ -154,14 +154,22 @@ type Sim struct {
 	Stop    func() bool
 	stopped bool
 
-	// swBuf is the reusable scratch for per-record route walks; Run is
-	// single-threaded, so one buffer per Sim keeps the hot path
-	// allocation-free at any stage count.
+	// swBuf is the reusable scratch for per-record route walks; Run
+	// simulates on one goroutine, so one buffer per Sim keeps the hot
+	// path allocation-free at any stage count.
 	swBuf []topo.SwitchID
 }
 
 // stopPollRefs is Run's cancellation poll interval in trace records.
 const stopPollRefs = 1024
+
+// Run's reader goroutine hands it records readAheadBatch at a time, in
+// readAheadBufs buffers that circulate between the two: one being
+// filled, one being simulated and one queued between them.
+const (
+	readAheadBatch = 4096
+	readAheadBufs  = 3
+)
 
 // Stopped reports whether the last Run returned early because the
 // Stop probe tripped, making its Stats a partial measurement.
@@ -275,24 +283,20 @@ func (s *Sim) sdInsertBackward(b uint64, home, owner int) {
 // Run processes the whole trace and returns the stats. When the Stop
 // probe is set and trips, Run returns the partial stats accumulated so
 // far and Stopped reports true.
+//
+// src is read ahead on another goroutine, in batches of readAheadBatch
+// records, while Run simulates them in source order on its own; the
+// caller must not touch src during Run. Run returns only after that
+// goroutine has exited, on every path, and the reader's last act, the
+// close of the channel Run receives from, orders its writes before
+// Run's return; so src is safe to read once Run returns: a
+// trace.ReaderSource's Err, for one. A panic in src.Next is
+// raised again on Run's goroutine with the same value, once the records
+// read before it have been simulated.
 func (s *Sim) Run(src trace.Source) Stats {
 	s.stopped = false
-	poll := 0
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		s.step(rec)
-		if s.Stop != nil {
-			if poll++; poll >= stopPollRefs {
-				poll = 0
-				if s.Stop() {
-					s.stopped = true
-					break
-				}
-			}
-		}
+	if p := s.simulate(src); p != nil {
+		panic(p)
 	}
 	for _, c := range s.clocks {
 		if c > s.Stats.ExecCycles {
@@ -300,6 +304,78 @@ func (s *Sim) Run(src trace.Source) Stats {
 		}
 	}
 	return s.Stats
+}
+
+// simulate steps through src's records until the trace ends or the
+// Stop probe trips, and returns the value src.Next panicked with, or
+// nil. A reader goroutine fills batches from src while this one
+// simulates the previous batch. The reader never blocks on a send:
+// full holds every buffer there is. It stops when the trace ends, or
+// after the batch it is filling when simulate returns, and simulate
+// waits for it to exit before returning.
+func (s *Sim) simulate(src trace.Source) (panicked any) {
+	free := make(chan []trace.Rec, readAheadBufs)
+	full := make(chan []trace.Rec, readAheadBufs)
+	quit := make(chan struct{})
+	for i := 0; i < readAheadBufs; i++ {
+		free <- make([]trace.Rec, 0, readAheadBatch)
+	}
+	go func() {
+		var buf []trace.Rec
+		defer close(full)
+		defer func() {
+			// Hand over the records read before the panic: a serial
+			// run would have simulated them.
+			if panicked = recover(); panicked != nil {
+				full <- buf
+			}
+		}()
+		for {
+			select {
+			case buf = <-free:
+			case <-quit:
+				return
+			}
+			select {
+			case <-quit: // both were ready: quit wins
+				return
+			default:
+			}
+			for len(buf) < readAheadBatch {
+				rec, ok := src.Next()
+				if !ok {
+					full <- buf
+					return
+				}
+				buf = append(buf, rec)
+			}
+			full <- buf
+		}
+	}()
+	// Stop the reader and wait for it on every return, a panic in step
+	// included; the close of full orders its writes before ours.
+	defer func() {
+		close(quit)
+		for range full {
+		}
+	}()
+	poll := 0
+	for buf := range full {
+		for _, rec := range buf {
+			s.step(rec)
+			if s.Stop != nil {
+				if poll++; poll >= stopPollRefs {
+					poll = 0
+					if s.Stop() {
+						s.stopped = true
+						return
+					}
+				}
+			}
+		}
+		free <- buf[:0]
+	}
+	return
 }
 
 func (s *Sim) step(rec trace.Rec) {

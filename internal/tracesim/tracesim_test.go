@@ -171,6 +171,23 @@ func checkSwitchEntries(s *Sim) error {
 	return nil
 }
 
+// randomRecs returns n records from a seeded stream of procs
+// processors over 512 blocks on 32 pages, two in five of them stores.
+func randomRecs(n, procs int, seed uint64) []trace.Rec {
+	rng := sim.NewRNG(seed)
+	recs := make([]trace.Rec, n)
+	for i := range recs {
+		recs[i] = trace.Rec{
+			Pid:  uint8(rng.Intn(procs)),
+			Addr: uint64(rng.Intn(32))*4096 + uint64(rng.Intn(16))*32,
+		}
+		if rng.Intn(5) < 2 {
+			recs[i].Op = trace.Store
+		}
+	}
+	return recs
+}
+
 // TestSwitchEntriesOnOwnerPath runs random traces and checks the
 // switch-entry invariant after every record. Tiny caches force dirty
 // evictions, and 4-entry switch directories force entry replacement;
@@ -181,15 +198,7 @@ func TestSwitchEntriesOnOwnerPath(t *testing.T) {
 		cfg.Procs, cfg.Radix = g.procs, g.radix
 		cfg.CacheBytes = 2048 // 64 lines, 16 sets
 		s := MustNew(cfg)
-		rng := sim.NewRNG(uint64(g.procs * g.radix))
-		for i := 0; i < 30000; i++ {
-			rec := trace.Rec{
-				Pid:  uint8(rng.Intn(g.procs)),
-				Addr: uint64(rng.Intn(32))*4096 + uint64(rng.Intn(16))*32,
-			}
-			if rng.Intn(5) < 2 {
-				rec.Op = trace.Store
-			}
+		for i, rec := range randomRecs(30000, g.procs, uint64(g.procs*g.radix)) {
 			s.step(rec)
 			if err := checkSwitchEntries(s); err != nil {
 				t.Fatalf("%d nodes radix %d, after record %d (%+v): %v", g.procs, g.radix, i, rec, err)

@@ -8,12 +8,14 @@
 // cache-to-cache request always find its data at the owner even if
 // the owner just replaced the line).
 //
-// Every line carries a 64-bit data word instead of data bytes. In the
-// hierarchy it is the block's version: writers increment it, and the
-// test suite uses it to prove value coherence end to end. The same
-// array also serves as the trace-driven simulator's switch
-// directories, whose data word is the owner, and as the switch caches
-// of package swcache, whose data word is the cached version.
+// Each way of a Cache is one 64-bit line word holding its tag, MSI
+// state and LRU rank. Every line also carries a 64-bit data word
+// instead of data bytes. In the hierarchy it is the block's version:
+// writers increment it, and the test suite uses it to prove value
+// coherence end to end. The same array also serves as the trace-driven
+// simulator's switch directories, whose data word is the owner, and as
+// the switch caches of package swcache, whose data word is the cached
+// version.
 package cache
 
 import "fmt"
@@ -58,49 +60,60 @@ type Stats struct {
 	DirtyEvic uint64 // replacements that produced a writeback
 }
 
-// Cache is one set-associative cache level. Each line is 18 bytes in
-// four flat per-line arrays (set s occupies indices [s*ways,
-// (s+1)*ways) of each), with no pointers and no per-set allocation:
-// lookups are the hottest operation in the whole simulator, and a
-// 1024-node machine holds 4.7M lines.
+// Cache is one set-associative cache level. Each way is one 64-bit
+// line word in a flat array (set s occupies indices [s*ways,
+// (s+1)*ways)), holding the way's tag, LRU rank and MSI state, so a
+// 4-way set is one 32-byte run that a lookup and its LRU update read
+// and write in place. There are no pointers and no per-set
+// allocations: lookups are the hottest operation in the whole
+// simulator, and a 1024-node machine holds 4.7M lines.
 //
-// The tag, state and rank arrays are built at the first Insert, since
-// on a big machine most processors may never reference memory. Until
-// then tags holds a single all-noTag set and mask is 0, so find runs
-// its usual loop and misses, and state and rank are nil. The version
-// array is built later still, at the first Insert or SetData of a
-// non-zero version: until then data is nil and every line's version
-// reads 0, which is what a zeroed array would hold. A cache that never
-// stores a version (a trace-driven processor's) costs 10 bytes per
-// line.
+// The line words are built at the first Insert, since on a big machine
+// most processors may never reference memory. Until then lines holds a
+// single set of invalid ways and mask is 0, so find runs its usual loop
+// and misses. The version array is built later still, at the first
+// Insert or SetData of a non-zero version: until then data is nil and
+// every line's version reads 0, which is what a zeroed array would
+// hold. So a line costs 8 bytes, and 16 once its cache stores a
+// version, which a trace-driven processor's cache never does.
 //
-// tags holds each way's tag, with invalid ways holding noTag, so find
-// scans 8 bytes per way (a whole 4-way set fits in one host cache
-// line) and needs no State load: a single uint64 compare decides
-// presence. Every site that changes a way's tag or validity must keep
-// tags and state in sync.
-//
-// rank orders a set's ways by last use: the ranks of a set are always
-// a permutation of 0..ways-1, and ways-1 is the most recently used.
+// A set's ranks order its ways by last use: they are always a
+// permutation of 0..ways-1, and ways-1 is the most recently used.
 // Replacement takes the first Invalid way, else the lowest rank.
 type Cache struct {
 	cfg   Config
-	tags  []uint64
+	lines []uint64 // line words: tag<<tagShift | rank<<rankShift | state
 	data  []uint64 // block version
-	state []State
-	rank  []uint8
 	ways  uint64
 	shift uint // log2(block)
 	mask  uint64
+	built bool
 	Stats Stats
 }
 
-// noTag marks an invalid way in tags. Real tags are addr>>shift with
-// shift >= 1, so all-ones is unreachable for any address below 2^63.
-const noTag = ^uint64(0)
+// A line word packs one way as tag<<tagShift | rank<<rankShift |
+// state: the MSI state in its low 2 bits, the LRU rank in the next 8
+// and the tag (addr>>shift) in the top 54. An invalid way's tag field
+// holds noTag. A tag fits only below noTag (with 32-byte blocks, for
+// every address below 2^59-32): find misses any other address before
+// it reads a way, so one tag compare decides presence with no state
+// test, and Insert panics on one.
+const (
+	rankShift = 2
+	tagShift  = 10
+	stateMask = 1<<rankShift - 1
+	rankMask  = 1<<(tagShift-rankShift) - 1
+	rankOne   = 1 << rankShift
+	noTag     = 1<<(64-tagShift) - 1
+	// invalidWay is the word of an invalid way at rank 0.
+	invalidWay = noTag << tagShift
+)
 
-// maxWays is the largest associativity a rank byte can order.
-const maxWays = 256
+// maxWays is the largest associativity the rank field can order.
+const maxWays = rankMask + 1
+
+func lineState(l uint64) State { return State(l & stateMask) }
+func lineRank(l uint64) uint64 { return l >> rankShift & rankMask }
 
 // Validate reports why New would reject cfg: the block size must be a
 // power of two, the ways between 1 and 256, and the lines a power-of-two
@@ -122,15 +135,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// New builds a cache from cfg, validating geometry. The line arrays
+// New builds a cache from cfg, validating geometry. The line words
 // are left to the first Insert.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg, tags: make([]uint64, cfg.Ways), ways: uint64(cfg.Ways)}
-	for i := range c.tags {
-		c.tags[i] = noTag
+	c := &Cache{cfg: cfg, lines: make([]uint64, cfg.Ways), ways: uint64(cfg.Ways)}
+	for i := range c.lines {
+		c.lines[i] = invalidWay
 	}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.shift++
@@ -138,21 +151,18 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// build gives the cache its tag, state and rank arrays: every way
-// invalid (noTag) and each set's ranks 0..ways-1.
+// build gives the cache its line words: every way invalid and each
+// set's ranks 0..ways-1.
 func (c *Cache) build() {
 	nlines := c.cfg.SizeBytes / c.cfg.BlockBytes
-	c.tags = make([]uint64, nlines)
-	c.state, c.rank = make([]State, nlines), make([]uint8, nlines)
-	for i := range c.tags {
-		c.tags[i] = noTag
-	}
+	c.lines = make([]uint64, nlines)
 	for base := 0; base < nlines; base += c.cfg.Ways {
 		for w := 0; w < c.cfg.Ways; w++ {
-			c.rank[base+w] = uint8(w)
+			c.lines[base+w] = invalidWay | uint64(w)<<rankShift
 		}
 	}
 	c.mask = uint64(nlines/c.cfg.Ways - 1)
+	c.built = true
 }
 
 // MustNew is New, panicking on error.
@@ -190,20 +200,24 @@ func (c *Cache) setVersion(i int, v uint64) {
 		if v == 0 {
 			return
 		}
-		c.data = make([]uint64, len(c.tags))
+		c.data = make([]uint64, len(c.lines))
 	}
 	c.data[i] = v
 }
 
-// find returns the flat index of the way holding addr, or -1. It
-// scans the dense tags array (invalid ways hold noTag), the
+// find returns the flat index of the way holding addr, or -1: always
+// -1 for an address whose tag does not fit a line word. It compares
+// each way's tag field with addr's (invalid ways hold noTag), the
 // simulator's hottest loop.
 func (c *Cache) find(addr uint64) int {
-	base := c.setIdx(addr) * c.ways
 	tg := c.tag(addr)
-	tags := c.tags[base : base+c.ways]
-	for w := range tags {
-		if tags[w] == tg {
+	if tg >= noTag {
+		return -1
+	}
+	base := c.setIdx(addr) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w, l := range set {
+		if l>>tagShift == tg {
 			return int(base) + w
 		}
 	}
@@ -214,24 +228,24 @@ func (c *Cache) find(addr uint64) int {
 // most recently used way: it takes rank ways-1 and every way ranked
 // above it drops one. A touch of the most recent way writes nothing.
 func (c *Cache) touch(base uint64, i int) {
-	r, top := c.rank[i], uint8(c.ways-1)
+	r, top := lineRank(c.lines[i]), c.ways-1
 	if r == top {
 		return
 	}
-	ranks := c.rank[base : base+c.ways]
-	for w, rw := range ranks {
-		if rw > r {
-			ranks[w] = rw - 1
+	set := c.lines[base : base+c.ways]
+	for w, l := range set {
+		if lineRank(l) > r {
+			set[w] = l - rankOne
 		}
 	}
-	c.rank[i] = top
+	c.lines[i] += (top - r) << rankShift
 }
 
 // Probe returns the line state without updating LRU or stats; Invalid
 // means not present.
 func (c *Cache) Probe(addr uint64) (State, uint64) {
 	if i := c.find(addr); i >= 0 {
-		return c.state[i], c.version(i)
+		return lineState(c.lines[i]), c.version(i)
 	}
 	return Invalid, 0
 }
@@ -246,7 +260,7 @@ func (c *Cache) Access(addr uint64) (State, uint64) {
 	}
 	c.touch(c.setIdx(addr)*c.ways, i)
 	c.Stats.Hits++
-	return c.state[i], c.version(i)
+	return lineState(c.lines[i]), c.version(i)
 }
 
 // Victim describes a line displaced by Insert.
@@ -258,41 +272,47 @@ type Victim struct {
 
 // Insert places addr with the given state and data, evicting the LRU
 // way if the set is full. It returns the displaced valid line, if any.
-// Inserting a block that is already present updates it in place.
+// Inserting a block that is already present updates it in place. An
+// address whose tag does not fit a line word panics.
 func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
-	if st == Invalid {
-		panic("cache: Insert with Invalid state")
+	if st == Invalid || st > Modified {
+		panic(fmt.Sprintf("cache: Insert with state %v", st))
 	}
-	if c.state == nil {
+	tg := c.tag(addr)
+	if tg >= noTag {
+		panic(fmt.Sprintf("cache: Insert of address %#x: its tag does not fit a line word", addr))
+	}
+	if !c.built {
 		c.build()
 	}
 	base := c.setIdx(addr) * c.ways
 	if i := c.find(addr); i >= 0 {
-		c.state[i] = st
+		c.lines[i] = c.lines[i]&^stateMask | uint64(st)
 		c.setVersion(i, data)
 		c.touch(base, i)
 		return Victim{}, false
 	}
 	i := int(base)
 	for w := i; w < int(base+c.ways); w++ {
-		if c.state[w] == Invalid {
+		if lineState(c.lines[w]) == Invalid {
 			i = w
 			break
 		}
-		if c.rank[w] < c.rank[i] {
+		if lineRank(c.lines[w]) < lineRank(c.lines[i]) {
 			i = w
 		}
 	}
 	var out Victim
-	had := c.state[i] != Invalid
+	l := c.lines[i]
+	had := lineState(l) != Invalid
 	if had {
 		c.Stats.Evictions++
-		if c.state[i] == Modified {
+		if lineState(l) == Modified {
 			c.Stats.DirtyEvic++
 		}
-		out = Victim{Addr: c.tags[i] << c.shift, State: c.state[i], Data: c.version(i)}
+		out = Victim{Addr: l >> tagShift << c.shift, State: lineState(l), Data: c.version(i)}
 	}
-	c.tags[i], c.state[i] = c.tag(addr), st
+	c.lines[i] = tg<<tagShift | l&(rankMask<<rankShift) | uint64(st)
 	c.setVersion(i, data)
 	c.touch(base, i)
 	return out, had
@@ -305,16 +325,16 @@ func (c *Cache) Invalidate(addr uint64) (State, uint64, bool) {
 	if i < 0 {
 		return Invalid, 0, false
 	}
-	st := c.state[i]
-	c.state[i], c.tags[i] = Invalid, noTag
-	return st, c.version(i), true
+	l := c.lines[i]
+	c.lines[i] = invalidWay | l&(rankMask<<rankShift)
+	return lineState(l), c.version(i), true
 }
 
 // Downgrade moves a Modified line to Shared (after a CtoC read); it
 // reports whether the line was present in M.
 func (c *Cache) Downgrade(addr uint64) bool {
-	if i := c.find(addr); i >= 0 && c.state[i] == Modified {
-		c.state[i] = Shared
+	if i := c.find(addr); i >= 0 && lineState(c.lines[i]) == Modified {
+		c.lines[i] = c.lines[i]&^stateMask | uint64(Shared)
 		return true
 	}
 	return false
@@ -332,9 +352,9 @@ func (c *Cache) SetData(addr uint64, data uint64) bool {
 // Lines calls fn for every valid line; used by invariant checks. An
 // unbuilt cache has none.
 func (c *Cache) Lines(fn func(addr uint64, st State, data uint64)) {
-	for i, st := range c.state {
-		if st != Invalid {
-			fn(c.tags[i]<<c.shift, st, c.version(i))
+	for i, l := range c.lines {
+		if st := lineState(l); st != Invalid {
+			fn(l>>tagShift<<c.shift, st, c.version(i))
 		}
 	}
 }

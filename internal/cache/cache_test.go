@@ -321,7 +321,12 @@ func TestStateString(t *testing.T) {
 // whole set; mru repeats one block per set, so every access hits the
 // most recent way and writes nothing. hierarchy-read reads each of
 // 1024 blocks (twice the L1, an eighth of the L2) twice in a row: an
-// L2 hit that refills the L1, then an L1 hit.
+// L2 hit that refills the L1, then an L1 hit. Those three fit in the
+// host's L1 and L2 caches. trace has the trace-driven simulator's
+// footprint: 16 full 2 MB 4-way caches (1M lines, 8 MiB of line words)
+// accessed round-robin at random blocks from a pool of twice each
+// cache's lines, so about half the accesses miss and nearly every one
+// reads its set from host memory.
 func BenchmarkCacheAccess(b *testing.B) {
 	b.Run("lru", func(b *testing.B) {
 		c := MustNew(cfg128k())
@@ -351,6 +356,25 @@ func BenchmarkCacheAccess(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Read(uint64(i/2%1024) * 32)
+		}
+	})
+	b.Run("trace", func(b *testing.B) {
+		cfg := Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32}
+		lines := uint64(cfg.SizeBytes / cfg.BlockBytes)
+		var cs [16]*Cache
+		for p := range cs {
+			cs[p] = MustNew(cfg)
+			for i := uint64(0); i < lines; i++ {
+				cs[p].Insert(i*32, Shared, 0)
+			}
+		}
+		x := uint64(88172645463325252)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			cs[i&15].Access((x & (2*lines - 1)) * 32)
 		}
 	})
 }

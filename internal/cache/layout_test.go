@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dresar/internal/sim"
@@ -268,7 +269,7 @@ func retainedBytes(n int, build func() any) float64 {
 }
 
 // TestLineFootprint pins the per-line cost of a built Table 2 L1 and
-// L2 at 18 bytes (tag, version, state and rank), plus a 1 KiB
+// L2 at 16 bytes (the line word and the version), plus a 1 KiB
 // allowance for the Cache header. A 1024-node machine holds 4.7M
 // lines once every cache is built.
 func TestLineFootprint(t *testing.T) {
@@ -279,17 +280,17 @@ func TestLineFootprint(t *testing.T) {
 			c.Insert(0, Shared, 1)
 			return c
 		})
-		if limit := float64(18*lines + 1024); got < float64(18*lines) || got > limit {
-			t.Errorf("%d-line cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 18*lines, limit)
+		if limit := float64(16*lines + 1024); got < float64(16*lines) || got > limit {
+			t.Errorf("%d-line cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 16*lines, limit)
 		}
 	}
 }
 
 // TestUnversionedLineFootprint pins the per-line cost of a built
 // cache that never stores a version, as the trace-driven simulator's
-// 2 MB 4-way caches never do: 10 bytes (tag, state and rank), plus a
-// 1 KiB allowance for the Cache header. Stores of version 0, by Insert
-// and SetData alike, build no version array.
+// 2 MB 4-way caches never do: 8 bytes (the line word), plus a 1 KiB
+// allowance for the Cache header. Stores of version 0, by Insert and
+// SetData alike, build no version array.
 func TestUnversionedLineFootprint(t *testing.T) {
 	cfg := Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32}
 	lines := cfg.SizeBytes / cfg.BlockBytes
@@ -301,15 +302,15 @@ func TestUnversionedLineFootprint(t *testing.T) {
 		}
 		return c
 	})
-	if limit := float64(10*lines + 1024); got < float64(10*lines) || got > limit {
-		t.Errorf("%d-line unversioned cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 10*lines, limit)
+	if limit := float64(8*lines + 1024); got < float64(8*lines) || got > limit {
+		t.Errorf("%d-line unversioned cache retains %.0f B (%.2f B/line), want %d (the lines) to %.0f", lines, got, got/float64(lines), 8*lines, limit)
 	}
 }
 
 // TestUnbuiltCache pins what a cache costs before its first Insert:
-// at most 256 bytes plus one set of tags, whatever its size, so the
-// idle processors of a big machine hold no lines. Every lookup misses
-// without building the line arrays, and Lines visits nothing.
+// at most 256 bytes plus one set of line words, whatever its size, so
+// the idle processors of a big machine hold no lines. Every lookup
+// misses without building the line words, and Lines visits nothing.
 func TestUnbuiltCache(t *testing.T) {
 	big := Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32}
 	for _, cfg := range []Config{cfg16k(), cfg128k(), big, {SizeBytes: 2 << 20, Ways: maxWays, BlockBytes: 32}} {
@@ -331,7 +332,64 @@ func TestUnbuiltCache(t *testing.T) {
 		}
 	}
 	c.Lines(func(addr uint64, _ State, _ uint64) { t.Errorf("Lines visits %#x in an unbuilt cache", addr) })
-	if c.state != nil || c.Stats.Misses != 4 {
-		t.Errorf("lookups built the cache (state %d lines) or miscounted (%+v)", len(c.state), c.Stats)
+	if c.built || len(c.lines) != big.Ways || c.Stats.Misses != 4 {
+		t.Errorf("lookups built the cache (%d line words) or miscounted (%+v)", len(c.lines), c.Stats)
 	}
+}
+
+// TestTagBeyondLineWord pins the edge of a line word's tag field. An
+// address whose tag does not fit (with 32-byte blocks, every address
+// from 2^59-32 up, whose tag is the invalid-way marker) is never
+// present: Probe, Access, Invalidate, Downgrade and SetData miss and
+// change no line, and Insert panics naming the address rather than
+// store a truncated tag. The addresses include the marker's, ones
+// whose tag wraps to the marker (1<<63-32, all ones), and ones whose
+// tag wraps to a resident block's, with an invalid way in every set.
+func TestTagBeyondLineWord(t *testing.T) {
+	c := MustNew(Config{SizeBytes: 4 * 4 * 32, Ways: 4, BlockBytes: 32})
+	for b := uint64(0); b < 16; b++ {
+		c.Insert(b*32, Modified, b+1)
+	}
+	for b := uint64(0); b < 4; b++ {
+		c.Invalidate(b * 32)
+	}
+	marker := uint64(1)<<59 - 32
+	for _, addr := range []uint64{marker, marker + 31, 1 << 59, 1<<59 + 5*32, 1<<63 + 6*32, 1<<63 - 32, ^uint64(0)} {
+		lines, misses := walk(c.Lines), c.Stats.Misses
+		if st, _ := c.Probe(addr); st != Invalid {
+			t.Errorf("Probe(%#x) = %v", addr, st)
+		}
+		if st, _ := c.Access(addr); st != Invalid {
+			t.Errorf("Access(%#x) = %v", addr, st)
+		}
+		if _, _, ok := c.Invalidate(addr); ok || c.Downgrade(addr) || c.SetData(addr, 99) {
+			t.Errorf("Invalidate, Downgrade or SetData(%#x) found a line", addr)
+		}
+		if msg := insertPanic(c, addr); !strings.Contains(msg, fmt.Sprintf("%#x", addr)) {
+			t.Errorf("Insert(%#x) panicked with %q, want a message naming the address", addr, msg)
+		}
+		if walk(c.Lines) != lines || c.Stats.Misses != misses+1 {
+			t.Errorf("lookups of %#x changed a line or miscounted (%+v)", addr, c.Stats)
+		}
+	}
+	for b := uint64(4); b < 16; b++ {
+		if st, d := c.Probe(b * 32); st != Modified || d != b+1 {
+			t.Errorf("block %d reads %v %d, want M %d", b, st, d, b+1)
+		}
+	}
+	u := MustNew(Config{SizeBytes: 2 << 20, Ways: 4, BlockBytes: 32})
+	if msg := insertPanic(u, marker); msg == "" || u.built {
+		t.Errorf("Insert(%#x) into an unbuilt cache panicked with %q and built it: %v", marker, msg, u.built)
+	}
+}
+
+// insertPanic returns what Insert(addr) panicked with, or "".
+func insertPanic(c *Cache, addr uint64) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	c.Insert(addr, Shared, 1)
+	return ""
 }

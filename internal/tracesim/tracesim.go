@@ -108,10 +108,11 @@ func (s Stats) AvgReadLatency() float64 {
 	return float64(s.ReadLatency) / float64(s.Reads)
 }
 
-// dent is one block's home-directory record.
+// dent is one block's home-directory record, 16 bytes: New admits at
+// most 64 processors, so a byte names the owner.
 type dent struct {
 	state   uint8 // 0 uncached, 1 shared, 2 modified
-	owner   int
+	owner   uint8
 	sharers uint64 // bit p set: processor p holds a copy
 }
 
@@ -227,7 +228,7 @@ func MustNew(cfg Config) *Sim {
 
 func (s *Sim) home(b uint64) int { return int(b/uint64(s.cfg.PageBytes)) % s.cfg.Procs }
 
-// denseDirBlocks bounds the flat directory at 2^21 records (~48 MiB
+// denseDirBlocks bounds the flat directory at 2^21 records (32 MiB
 // fully grown); the synthetic workloads use a few hundred thousand.
 const denseDirBlocks = 1 << 21
 
@@ -425,7 +426,7 @@ func (s *Sim) read(p int, b uint64) uint64 {
 	}
 	// Dirty: cache-to-cache transfer.
 	s.Profile.Add(b, 1, 1)
-	owner := e.owner
+	owner := int(e.owner)
 	if s.sdirs != nil {
 		// Check the switch directories along the forward path.
 		s.swBuf = s.tp.AppendSwitchesForward(s.swBuf[:0], p, h)
@@ -465,7 +466,7 @@ func (s *Sim) read(p int, b uint64) uint64 {
 func (s *Sim) finishCtoC(p int, b uint64, e *dent, owner int) {
 	s.caches[owner].Downgrade(b)
 	if s.sdirs != nil {
-		s.sdInvalidate(b, e.owner)
+		s.sdInvalidate(b, int(e.owner))
 	}
 	e.state = dShared
 	e.sharers = (1 << uint(owner)) | (1 << uint(p))
@@ -476,14 +477,15 @@ func (s *Sim) finishCtoC(p int, b uint64, e *dent, owner int) {
 // write retires a store: free under the release-consistency
 // assumption, but ownership still moves.
 func (s *Sim) write(p int, b uint64) {
-	c := s.caches[p]
-	if st, _ := c.Probe(b); st == cache.Modified {
-		c.Access(b) // refresh LRU
+	// A store to a Modified line only refreshes LRU. Access refreshes
+	// LRU on a Shared hit too, which changes nothing: the fill below
+	// makes the line the most recent way either way.
+	if st, _ := s.caches[p].Access(b); st == cache.Modified {
 		return
 	}
 	e := s.ent(b)
 	// Purge every other copy.
-	if e.state == dModified && e.owner != p {
+	if e.state == dModified && int(e.owner) != p {
 		s.caches[e.owner].Invalidate(b)
 	}
 	if e.state == dShared {
@@ -493,8 +495,8 @@ func (s *Sim) write(p int, b uint64) {
 			}
 		}
 	}
-	owned, prev := e.state == dModified, e.owner
-	e.state, e.owner, e.sharers = dModified, p, 0
+	owned, prev := e.state == dModified, int(e.owner)
+	e.state, e.owner, e.sharers = dModified, uint8(p), 0
 	s.fill(p, b, cache.Modified)
 	if s.sdirs != nil {
 		// The write request invalidates entries en route; the write
@@ -513,7 +515,7 @@ func (s *Sim) fill(p int, b uint64, st cache.State) {
 		return
 	}
 	ve := s.ent(v.Addr)
-	if v.State == cache.Modified && ve.state == dModified && ve.owner == p {
+	if v.State == cache.Modified && ve.state == dModified && int(ve.owner) == p {
 		ve.state, ve.sharers = dUncached, 0
 		if s.sdirs != nil {
 			s.sdInvalidate(v.Addr, p)

@@ -157,7 +157,7 @@ func checkSwitchEntries(s *Sim) error {
 				return
 			}
 			onPath := false
-			for _, sw := range s.tp.SwitchesBackward(s.home(b), e.owner) {
+			for _, sw := range s.tp.SwitchesBackward(s.home(b), int(e.owner)) {
 				onPath = onPath || s.tp.SwitchOrdinal(sw) == ord
 			}
 			if !onPath {

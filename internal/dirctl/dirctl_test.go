@@ -1,8 +1,10 @@
 package dirctl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
@@ -458,5 +460,106 @@ func TestLegacyRequestsWithoutTxUnaffected(t *testing.T) {
 	}
 	if d.c.Stats.DupRequests != 0 {
 		t.Fatalf("DupRequests = %d for Tx=0 traffic", d.c.Stats.DupRequests)
+	}
+}
+
+// TestReadOnlyAccessorsStartNoRecord: Version, State and Busy on a
+// block the home never served report the zero (Uncached, idle) state
+// and start no record, so ForEachBlock lists the same blocks after
+// them as before.
+func TestReadOnlyAccessorsStartNoRecord(t *testing.T) {
+	d := newDrig(Config{})
+	d.deliver(read(1, 0x40))
+	d.deliver(write(2, 0x80))
+	list := func() string {
+		var b strings.Builder
+		d.c.ForEachBlock(func(a uint64, st DirState, owner int, sh mesg.NodeSet, busy bool) {
+			fmt.Fprintf(&b, "%#x %v %d %v %v;", a, st, owner, sh, busy)
+		})
+		return b.String()
+	}
+	before := list()
+	const unseen = 0xc0
+	if v := d.c.Version(unseen); v != 0 {
+		t.Fatalf("Version of an unseen block = %d", v)
+	}
+	if st, owner, sharers := d.c.State(unseen); st != Uncached || owner != 0 || !sharers.Empty() {
+		t.Fatalf("State of an unseen block = %v %d %v", st, owner, sharers)
+	}
+	if d.c.Busy(unseen) {
+		t.Fatal("an unseen block is busy")
+	}
+	if after := list(); after != before {
+		t.Fatalf("ForEachBlock after the accessors = %q, before %q", after, before)
+	}
+	if _, ok := d.c.dir[unseen]; ok {
+		t.Fatal("the accessors started a record")
+	}
+}
+
+// TestDrainedBlockKeepsNoActivity: while a read forward keeps a block
+// busy, K requests park on it and an evicting owner's writeback
+// acknowledgment is held. Once the forward completes and the K
+// requests drain, the controller holds no activity record for the
+// block, and no slot of the queue's backing array or of any activity
+// record still points at a message.
+func TestDrainedBlockKeepsNoActivity(t *testing.T) {
+	const k = 6
+	d := newDrig(Config{DRAMCycles: 40, OccCycles: 6, PendingCap: 16})
+	d.deliver(write(7, 0x40)) // P7 owns
+	d.deliver(read(1, 0x40))  // forward to P7, busy
+	for p := 2; p < 2+k; p++ {
+		d.deliver(read(p, 0x40))
+	}
+	d.deliver(&mesg.Message{Kind: mesg.WriteBack, Addr: 0x40, Src: mesg.P(7), Dst: mesg.M(0), Data: 3})
+	d.take()
+	e := d.c.blocks.at(d.c.ent(0x40))
+	if !e.busy || e.act == 0 {
+		t.Fatalf("setup: busy=%v act=%d", e.busy, e.act)
+	}
+	a := d.c.acts[e.act-1]
+	if len(a.pending) != k || len(a.deferredAcks) != 1 || a.busyMsg == nil {
+		t.Fatalf("setup: %d parked, %d held acks, busyMsg %v", len(a.pending), len(a.deferredAcks), a.busyMsg)
+	}
+	queue := a.pending[:cap(a.pending)] // the queue's backing array
+
+	d.deliver(&mesg.Message{Kind: mesg.CopyBack, Addr: 0x40, Src: mesg.P(7), Dst: mesg.M(0), Data: 5, Requester: 1})
+	out := d.take()
+	replies := 0
+	for _, m := range out {
+		if m.Kind == mesg.ReadReply {
+			replies++
+		}
+	}
+	if replies != k || d.c.Busy(0x40) {
+		t.Fatalf("drain served %d of %d parked reads (busy=%v): %v", replies, k, d.c.Busy(0x40), out)
+	}
+	if e.act != 0 {
+		t.Fatalf("the drained block keeps activity record %d", e.act)
+	}
+	for i, slot := range queue {
+		if slot != nil {
+			t.Fatalf("queue slot %d still holds %v", i, slot)
+		}
+	}
+	for i := range d.c.acts {
+		if a := &d.c.acts[i]; a.busyMsg != nil || a.pending != nil || a.deferredAcks != nil {
+			t.Fatalf("activity slot %d holds %+v", i, *a)
+		}
+	}
+	if len(d.c.freeActs) != len(d.c.acts) {
+		t.Fatalf("%d of %d activity records free", len(d.c.freeActs), len(d.c.acts))
+	}
+}
+
+// TestRecordSizes pins the per-block and per-(block, requester) costs
+// that the home directories' heap is made of: a 64-byte block record
+// and a 32-byte duplicate-filter ring.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(block{}); n != 64 {
+		t.Errorf("block record is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(doneRing{}); n != 32 {
+		t.Errorf("duplicate-filter ring is %d bytes, want 32", n)
 	}
 }

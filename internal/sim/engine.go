@@ -171,20 +171,6 @@ type Engine struct {
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// carveBuckets seeds every bucket with room for a few slot indices
-// carved from one backing array: growing 1024 bucket slices from nil
-// costs thousands of doubling reallocations per engine. One allocation
-// here replaces the first few doublings of each bucket; hot buckets
-// still grow past the carve on their own.
-func (e *Engine) carveBuckets() {
-	const seedCap = 4
-	backing := make([]uint32, calWindow*seedCap)
-	for i := range e.buckets {
-		lo := i * seedCap
-		e.buckets[i].ev = backing[lo : lo : lo+seedCap]
-	}
-}
-
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 

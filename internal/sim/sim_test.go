@@ -496,6 +496,60 @@ func TestBlockProfileMatchesMap(t *testing.T) {
 	}
 }
 
+// TestBlockProfileCountsPast32Bits: a dense block keeps two 32-bit
+// counts, and a count that would pass 2^32-1 must not wrap. Block 0's
+// primary count and block 1's secondary count cross 32 bits, block 2's
+// first add is already past them, and block 3 reaches the largest
+// counts a dense slot keeps; Len, Totals and the CDF must equal the
+// 64-bit map's.
+func TestBlockProfileCountsPast32Bits(t *testing.T) {
+	const block = 32
+	b, ref := NewBlockProfile(block), refProfile{}
+	add := func(blk, d, s uint64) {
+		b.Add(blk*block, d, s)
+		ref.add(blk*block, d, s)
+	}
+	add(0, 1<<32-2, 5)
+	add(0, 3, 1) // primary 2^32+1: moves to the map
+	add(0, 1, 1<<32-1)
+	add(1, 7, 1<<32-1)
+	add(1, 0, 1) // secondary 2^32
+	add(2, 1<<40, 1<<33)
+	add(3, 1<<32-2, 1<<32-1) // the largest counts a dense slot keeps
+	add(3, 0, 0)
+	for blk := uint64(4); blk < 20; blk++ {
+		add(blk, blk, 1)
+	}
+	add(1, 2, 2)
+	for blk := uint64(0); blk < 4; blk++ {
+		if _, moved := b.sparse[blk*block]; moved != (blk < 3) {
+			t.Fatalf("block %d in the map: %v, want %v", blk, moved, blk < 3)
+		}
+	}
+	if b.Len() != len(ref) || b.Len() != 20 {
+		t.Fatalf("Len = %d, want %d", b.Len(), len(ref))
+	}
+	gp, gs := b.Totals()
+	wp, ws := ref.totals()
+	if gp != wp || gs != ws {
+		t.Fatalf("Totals = %d/%d, want %d/%d", gp, gs, wp, ws)
+	}
+	if want := uint64(1<<32+2) + 9 + 1<<40 + 1<<32 - 2 + 184; gp != want {
+		t.Fatalf("primary total = %d, want %d", gp, want)
+	}
+	points := make([]float64, 21)
+	for i := range points {
+		points[i] = float64(i) / 20
+	}
+	p, s := b.CDF(points)
+	rp, rs := ref.cdf(points)
+	for i := range points {
+		if p[i] != rp[i] || s[i] != rs[i] {
+			t.Fatalf("CDF at %v = (%v, %v), want (%v, %v)", points[i], p[i], s[i], rp[i], rs[i])
+		}
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {

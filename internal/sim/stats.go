@@ -95,19 +95,24 @@ func log2u(v uint64) int {
 // the paper plots in Figure 2. Keys are block addresses. Both
 // simulators address a dense region starting at zero, so a key that is
 // a multiple of the block size and below profileDenseBlocks blocks is
-// counted in a slice indexed by block number, grown on demand; any
-// other key is counted in a map. A key counts once it has been added,
-// even with zero events, wherever it is kept.
+// counted in a slice indexed by block number, grown on demand, in two
+// 32-bit counts; any other key, and any dense key whose count would
+// pass 32 bits, is counted in a map of 64-bit counts. A key counts once
+// it has been added, even with zero events, wherever it is kept.
 type BlockProfile struct {
 	shift  uint                 // log2(block bytes)
-	dense  [][2]uint64          // block number -> {primary, secondary}
-	seen   []uint64             // bit i set: block number i has been added
+	dense  [][2]uint32          // block number -> {primary, secondary}, or profileMoved
+	seen   []uint64             // bit i set: block number i is counted in dense
 	sparse map[uint64][2]uint64 // any other key -> {primary, secondary}
 }
 
-// profileDenseBlocks bounds the dense counts at 2^21 blocks (32 MiB
+// profileDenseBlocks bounds the dense counts at 2^21 blocks (16 MiB
 // fully grown), the same bound as tracesim's flat home directory.
 const profileDenseBlocks = 1 << 21
+
+// profileMoved is the primary count of a dense slot whose key moved to
+// the map; a dense primary count stays below it.
+const profileMoved = math.MaxUint32
 
 // NewBlockProfile returns an empty profile whose dense counts are
 // indexed by key / blockBytes. Keys that are not a multiple of
@@ -124,16 +129,25 @@ func NewBlockProfile(blockBytes int) *BlockProfile {
 func (b *BlockProfile) Add(key uint64, d, s uint64) {
 	if idx := key >> b.shift; idx<<b.shift == key && idx < profileDenseBlocks {
 		if idx >= uint64(len(b.dense)) {
-			b.dense = append(b.dense, make([][2]uint64, int(idx)+1-len(b.dense))...)
+			b.dense = append(b.dense, make([][2]uint32, int(idx)+1-len(b.dense))...)
 			if words := int(idx>>6) + 1; words > len(b.seen) {
 				b.seen = append(b.seen, make([]uint64, words-len(b.seen))...)
 			}
 		}
-		b.seen[idx>>6] |= 1 << (idx & 63)
 		c := &b.dense[idx]
-		c[0] += d
-		c[1] += s
-		return
+		if c[0] != profileMoved {
+			if d < uint64(profileMoved-c[0]) && s <= uint64(math.MaxUint32-c[1]) {
+				b.seen[idx>>6] |= 1 << (idx & 63)
+				c[0] += uint32(d)
+				c[1] += uint32(s)
+				return
+			}
+			// The count would pass 32 bits: the key moves to the map
+			// for good, with what it has counted so far.
+			b.sparse[key] = [2]uint64{uint64(c[0]), uint64(c[1])}
+			b.seen[idx>>6] &^= 1 << (idx & 63)
+			c[0], c[1] = profileMoved, 0
+		}
 	}
 	c := b.sparse[key]
 	c[0] += d
@@ -153,8 +167,10 @@ func (b *BlockProfile) Len() int {
 // Totals returns the grand totals of primary and secondary events.
 func (b *BlockProfile) Totals() (primary, secondary uint64) {
 	for _, c := range b.dense {
-		primary += c[0]
-		secondary += c[1]
+		if c[0] != profileMoved {
+			primary += uint64(c[0])
+			secondary += uint64(c[1])
+		}
 	}
 	for _, c := range b.sparse {
 		primary += c[0]
@@ -179,7 +195,8 @@ func (b *BlockProfile) CDF(points []float64) (primary, secondary []float64) {
 	for w, word := range b.seen {
 		for ; word != 0; word &= word - 1 {
 			idx := w<<6 + bits.TrailingZeros64(word)
-			all = append(all, kv{uint64(idx) << b.shift, b.dense[idx]})
+			c := b.dense[idx]
+			all = append(all, kv{uint64(idx) << b.shift, [2]uint64{uint64(c[0]), uint64(c[1])}})
 		}
 	}
 	for k, c := range b.sparse {

@@ -122,15 +122,13 @@ fuzz:
 	DRESAR_FUZZ_SEEDS=2000 go test ./internal/core -run TestFuzzProtocol -timeout 30m
 
 # Short coverage-guided fuzzing of the fault-recovery surfaces: routing
-# under arbitrary link/switch deaths, flit reassembly under arbitrary
-# corruption patterns, the job-journal decoder under torn /
-# bit-flipped / duplicated segment bytes, and the home directories'
-# duplicate filter against its reference model under arbitrary
-# completion and lookup sequences. Offline and deterministic enough for
-# the default gate; crashes land in testdata/fuzz/ as usual.
+# under arbitrary link/switch deaths, the job-journal decoder under
+# torn / bit-flipped / duplicated segment bytes, and the home
+# directories' duplicate filter against its reference model under
+# arbitrary completion and lookup sequences. Offline and deterministic
+# enough for the default gate; crashes land in testdata/fuzz/ as usual.
 fuzz-short:
 	go test -run '^$$' -fuzz FuzzRoute -fuzztime 10s ./internal/xbar
-	go test -run '^$$' -fuzz FuzzFlitReassembly -fuzztime 10s ./internal/flit
 	go test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz FuzzDuplicateFilter -fuzztime 10s ./internal/dirctl
 

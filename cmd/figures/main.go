@@ -8,9 +8,10 @@
 //	figures [-fig N] [-scale small|paper] [-apps fft,tc,...] [-sizes 0,256,...]
 //
 // With no -fig, every paper figure is produced. Figures 8–11 share one
-// (app × directory-size) sweep. An unknown -fig or -scale, or a size
-// that is negative or that the switch directories cannot be built with
-// (such as 768: 192 sets of 4 ways), exits 2 before any cell runs.
+// (app × directory-size) sweep. An unknown -fig, -scale or -apps entry,
+// or a size that is negative or that the switch directories cannot be
+// built with (such as 768: 192 sets of 4 ways), exits 2 before any
+// cell runs.
 package main
 
 import (
@@ -31,12 +32,11 @@ func main() {
 	sizesStr := flag.String("sizes", "0,256,512,1024,2048", "switch-directory sizes (0 = base)")
 	csvOut := flag.String("csv", "", "also write the raw sweep (and Fig 2 CDF) as CSV to this file prefix")
 	flag.Parse()
-	scale, sizes, err := checkFlags(*fig, *scaleStr, *sizesStr)
+	scale, apps, sizes, err := checkFlags(*fig, *scaleStr, *appsStr, *sizesStr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(2)
 	}
-	apps := strings.Split(*appsStr, ",")
 
 	want := func(n int) bool { return *fig == 0 || *fig == n }
 
@@ -84,15 +84,16 @@ func main() {
 	}
 }
 
-// checkFlags validates -fig, -scale and -sizes and returns the scale
-// and the sizes. Every size must be one each sweep cell can be built
-// with (figures.CheckSizes), so that a bad one fails before any cell
-// runs.
-func checkFlags(fig int, scale, sizes string) (figures.Scale, []int, error) {
+// checkFlags validates -fig, -scale, -apps and -sizes and returns the
+// scale, the apps and the sizes. Every app must be one the sweep can
+// run (a kernel figures.ScientificWorkload builds, or a commercial
+// trace) and every size one each sweep cell can be built with
+// (figures.CheckSizes), so that a bad one fails before any cell runs.
+func checkFlags(fig int, scale, apps, sizes string) (figures.Scale, []string, []int, error) {
 	switch fig {
 	case 0, 1, 2, 8, 9, 10, 11, 12, 13:
 	default:
-		return 0, nil, fmt.Errorf("no figure %d", fig)
+		return 0, nil, nil, fmt.Errorf("no figure %d", fig)
 	}
 	sc := figures.ScaleSmall
 	switch scale {
@@ -100,17 +101,26 @@ func checkFlags(fig int, scale, sizes string) (figures.Scale, []int, error) {
 	case "paper":
 		sc = figures.ScalePaper
 	default:
-		return 0, nil, fmt.Errorf("unknown scale %q", scale)
+		return 0, nil, nil, fmt.Errorf("unknown scale %q", scale)
+	}
+	as := strings.Split(apps, ",")
+	for _, a := range as {
+		if figures.Commercial(a) {
+			continue
+		}
+		if _, err := figures.ScientificWorkload(a, sc); err != nil {
+			return 0, nil, nil, fmt.Errorf("unknown app %q: want one of %s (or ge for gauss)", a, strings.Join(figures.Apps, ", "))
+		}
 	}
 	var ns []int
 	for _, s := range strings.Split(sizes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			return 0, nil, fmt.Errorf("bad size %q: want a switch-directory entry count >= 0", s)
+			return 0, nil, nil, fmt.Errorf("bad size %q: want a switch-directory entry count >= 0", s)
 		}
 		ns = append(ns, n)
 	}
-	return sc, ns, figures.CheckSizes(ns)
+	return sc, as, ns, figures.CheckSizes(ns)
 }
 
 func die(err error) {

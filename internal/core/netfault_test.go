@@ -12,7 +12,7 @@ import (
 )
 
 // TestZeroFaultEquivalence pins the fault-tolerant fabric to the
-// pre-fault-tolerance baseline: with an inactive NetPlan the CRC,
+// pre-fault-tolerance baseline: with an inactive NetPlan the corruption,
 // retransmit, and route-around machinery must be cycle-for-cycle
 // invisible. The literals below were captured from this tree with the
 // fault machinery compiled in but no plan installed (re-baselined when

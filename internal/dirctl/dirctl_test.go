@@ -58,20 +58,17 @@ func TestColdReadServedClean(t *testing.T) {
 }
 
 func TestDRAMAndOccupancyTiming(t *testing.T) {
-	d := newDrig(Config{DRAMCycles: 40, OccCycles: 6, PendingCap: 4})
-	d.c.Handle(read(1, 0x40))
-	d.c.Handle(read(2, 0x40))
-	var t1, t2 sim.Cycle
-	d.eng.Run(0)
-	_ = t1
-	_ = t2
+	eng := sim.NewEngine()
+	var sentAt []sim.Cycle
+	c := New(eng, 0, Config{DRAMCycles: 40, OccCycles: 6, PendingCap: 4},
+		func(*mesg.Message) { sentAt = append(sentAt, eng.Now()) })
+	c.Handle(read(1, 0x40))
+	c.Handle(read(2, 0x40))
+	eng.Run(0)
 	// Both served; second serialized behind the first: controller
 	// occupancy 46 each, so replies at 46 and 92.
-	if len(d.sent) != 2 {
-		t.Fatalf("sent %d", len(d.sent))
-	}
-	if got := d.eng.Now(); got != 92 {
-		t.Fatalf("completion at %d, want 92 (serialized occupancy)", got)
+	if len(sentAt) != 2 || sentAt[0] != 46 || sentAt[1] != 92 {
+		t.Fatalf("replies sent at %v, want [46 92] (serialized occupancy)", sentAt)
 	}
 }
 

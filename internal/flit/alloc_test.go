@@ -9,10 +9,10 @@ import (
 
 // TestLinkTickZeroAlloc pins the flit model's steady-state budget: one
 // message sent and drained through the 16-node fabric — injection,
-// per-cycle link-queue drain, switch grant/transmit, link error
-// protocol, reassembly — must not allocate once the scratch buffers
-// and queue backing arrays are warm. The shift-down pops (popFront)
-// and the persistent linkQ entries are what this protects.
+// per-cycle link-queue drain, switch grant/transmit, endpoint delivery
+// — must not allocate once the scratch buffers and queue backing
+// arrays are warm. The shift-down pops (popFront) and the persistent
+// linkQ entries are what this protects.
 func TestLinkTickZeroAlloc(t *testing.T) {
 	tp := topo.MustNew(16, 4)
 	n := NewNetwork(tp, NetConfig{})

@@ -17,7 +17,6 @@
 package flit
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"dresar/internal/mesg"
@@ -36,28 +35,13 @@ const (
 	MaxGrants = 4
 	// VCs is the virtual channel count per link.
 	VCs = 2
-	// RetxRoundTrip is the nack + replay turnaround of the link-level
-	// retransmission protocol, in cycles: the receiver's checksum
-	// reject travels back one flit time and the sender re-arms.
-	RetxRoundTrip = 2 * LinkCyclesPerFlit
-	// ReplayFlits bounds the per-link replay buffer of pristine
-	// transmitted-but-unacknowledged flits. Clean flits acknowledge
-	// immediately, so only flits in active go-back-N recovery linger;
-	// with one wormhole owner per output link that is at most a
-	// handful.
-	ReplayFlits = 64
 )
 
 // Flit is one 8-byte flow-control unit. The head flit carries the
 // message header (and the pointer to the whole message, standing in
-// for the encoded fields); body/tail flits carry payload. Seq and Sum
-// implement the link-level error protocol: every flit carries its
-// position within the message and a CRC-16 over its identifying
-// fields, verified by the receiving link interface (see network.go).
+// for the encoded fields); body/tail flits carry payload.
 type Flit struct {
 	MsgID uint64
-	Seq   uint8  // flit index within the message
-	Sum   uint16 // CRC-16 link checksum; wire corruption flips bits here
 	Head  bool
 	Tail  bool
 	Msg   *mesg.Message // non-nil on the head flit
@@ -70,39 +54,6 @@ type Flit struct {
 // port matters (body flits follow the wormhole allocation).
 func (f *Flit) SetOut(o int) { f.out = o }
 
-// Checksum computes the flit's expected CRC-16 (CCITT polynomial
-// 0x1021) over its identifying fields. Payload bytes are not
-// separately modeled, so the header fields stand in for the full flit
-// image.
-func (f *Flit) Checksum() uint16 { return flitSum(f.MsgID, f.Seq, f.Head, f.Tail) }
-
-// SumOK reports whether the flit survived its last link crossing.
-func (f *Flit) SumOK() bool { return f.Sum == f.Checksum() }
-
-func flitSum(msgID uint64, seq uint8, head, tail bool) uint16 {
-	var buf [11]byte
-	binary.LittleEndian.PutUint64(buf[:8], msgID)
-	buf[8] = seq
-	if head {
-		buf[9] = 1
-	}
-	if tail {
-		buf[10] = 1
-	}
-	crc := uint16(0xffff)
-	for _, b := range buf {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 // popFront removes the first element by shifting the rest down, so the
 // backing array — and the queue's warm capacity — is kept. The plain
 // s[1:] reslice walks the array forward until every append reallocates;
@@ -114,9 +65,8 @@ func popFront[T any](s []T) []T {
 }
 
 // Packetize splits a message into flits: one header flit plus four
-// data flits for data-carrying kinds, each carrying its sequence
-// number and link checksum. out is the switch output port the message
-// must leave through; age is its injection time.
+// data flits for data-carrying kinds. out is the switch output port
+// the message must leave through; age is its injection time.
 func Packetize(m *mesg.Message, age uint64, out int) []Flit {
 	return PacketizeInto(nil, m, age, out)
 }
@@ -128,15 +78,12 @@ func PacketizeInto(dst []Flit, m *mesg.Message, age uint64, out int) []Flit {
 	n := m.Flits()
 	base := len(dst)
 	for i := 0; i < n; i++ {
-		dst = append(dst, Flit{MsgID: m.ID, Seq: uint8(i), Age: age, out: out})
+		dst = append(dst, Flit{MsgID: m.ID, Age: age, out: out})
 	}
 	fs := dst[base:]
 	fs[0].Head = true
 	fs[0].Msg = m
 	fs[n-1].Tail = true
-	for i := range fs {
-		fs[i].Sum = fs[i].Checksum()
-	}
 	return dst
 }
 

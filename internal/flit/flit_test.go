@@ -273,13 +273,8 @@ func TestRandomTrafficConservation(t *testing.T) {
 			return Verdict{}
 		},
 	})
-	type pending struct {
-		fs []Flit
-		at int
-	}
 	var queues [4][2][]Flit
-	total := 0
-	flitsIn := 0
+	flitsIn, sunkFlits := 0, 0
 	for id := uint64(1); id <= 200; id++ {
 		var m *mesg.Message
 		if rng.Intn(2) == 0 {
@@ -290,8 +285,10 @@ func TestRandomTrafficConservation(t *testing.T) {
 		fs := Packetize(m, id, rng.Intn(4))
 		p, v := rng.Intn(4), rng.Intn(2)
 		queues[p][v] = append(queues[p][v], fs...)
-		total++
 		flitsIn += len(fs)
+		if id%7 == 0 {
+			sunkFlits += len(fs)
+		}
 	}
 	delivered := 0
 	for i := 0; i < 100000; i++ {
@@ -321,17 +318,16 @@ func TestRandomTrafficConservation(t *testing.T) {
 	if !s.Idle() {
 		t.Fatal("did not drain")
 	}
-	// Conservation: flits in = flits delivered + flits of sunk messages.
-	sunkFlits := int(s.Stats.Offered-s.Stats.Refused) - delivered - 0
-	_ = sunkFlits
-	if int(s.Stats.Sunk) != sunkWant {
-		t.Fatalf("sunk %d messages, want %d", s.Stats.Sunk, sunkWant)
+	// Every message with an ID divisible by 7 is sunk: 28 of 200.
+	if s.Stats.Sunk != 28 || int(s.Stats.Sunk) != sunkWant {
+		t.Fatalf("sunk %d messages (snoop sank %d), want 28", s.Stats.Sunk, sunkWant)
 	}
-	if delivered+int(s.Stats.Sunk)*0 == 0 {
-		t.Fatal("nothing delivered")
+	// Conservation: every flit offered is delivered exactly once unless
+	// its message was sunk, and every offer eventually lands.
+	if accepted := int(s.Stats.Offered - s.Stats.Refused); accepted != flitsIn {
+		t.Fatalf("switch accepted %d flits, offered %d", accepted, flitsIn)
 	}
-	// Every non-sunk message's flits arrive exactly once.
-	if delivered == flitsIn {
-		t.Fatal("sunk flits were delivered")
+	if delivered != flitsIn-sunkFlits {
+		t.Fatalf("delivered %d flits, want %d offered - %d of sunk messages", delivered, flitsIn, sunkFlits)
 	}
 }

@@ -25,8 +25,8 @@ type Network struct {
 	routes  map[uint64][]topo.Hop
 	hopFree [][]topo.Hop
 	// msgs keeps the message object until delivery (the head flit
-	// carries it through the switches; the network remembers it for
-	// reassembly).
+	// carries it through the switches; the network hands it to the
+	// endpoint when the tail arrives).
 	msgs map[uint64]*mesg.Message
 
 	// inj is the per-processor/memory injection state: pending flits
@@ -36,24 +36,14 @@ type Network struct {
 	// linkQ holds flits in transit between switches (wire retiming).
 	linkQ map[linkKey][]Flit
 
-	// assembly gathers delivered flits back into messages.
-	assembly map[uint64]int // msgID -> flits seen
-
 	deliverP, deliverM []func(*mesg.Message)
 
-	// Link-level error protocol state (one linkCtl per switch output
-	// link, lazily created) and the retransmission timer queue.
-	links map[outKey]*linkCtl
-	retx  []retxFlit
-
-	// keyScratch is the reusable drain-order buffer of Tick step 5:
+	// keyScratch is the reusable drain-order buffer of Tick step 4:
 	// rebuilding it per cycle was the network's hottest steady-state
 	// allocation. pktScratch is Send's packetization buffer; its flits
 	// are copied into the injection queue before Send returns.
 	keyScratch []linkKey
 	pktScratch []Flit
-
-	cfg NetConfig
 
 	Stats NetStats
 }
@@ -63,53 +53,6 @@ type NetStats struct {
 	Sent       uint64
 	Delivered  uint64
 	FlitsMoved uint64
-
-	// Link error protocol counters.
-	FlitsCorrupted  uint64 // checksum rejects at link receivers
-	FlitRetransmits uint64 // flits replayed from a sender's replay buffer
-}
-
-// outKey names one switch output link.
-type outKey struct {
-	ord int // source switch ordinal
-	out int // output port
-}
-
-// linkCtl is the per-link error protocol state. A link is a serial
-// pipe: the sender stamps every fresh transmission with a link-level
-// sequence number and keeps a pristine copy in a bounded replay window;
-// the receiver accepts flits strictly in link order. A corrupted flit
-// is nacked and replayed after a round trip; flits transmitted behind
-// it are discarded on arrival (they stay in the replay window) and are
-// chain-replayed once the gap closes. Total link order — not merely
-// per-message order — is what the downstream wormhole invariants
-// require: a single-flit message overtaking another message's pending
-// tail would interleave into its locked input VC and be misrouted.
-type linkCtl struct {
-	nextSend uint64 // link sequence of the next fresh transmission
-	nextRecv uint64 // link sequence the receiver expects
-	// replay holds transmitted-but-unacknowledged flits in link order.
-	replay []linkFlit
-	// hold backpressures fresh transmissions while the replay window is
-	// full (link-level flow control, mirroring credit exhaustion).
-	hold []Flit
-}
-
-// linkFlit is a flit stamped with its link sequence number. queued
-// marks a replay already sitting in the retransmission timer queue, so
-// chained replays never double-schedule a sequence.
-type linkFlit struct {
-	seq    uint64
-	f      Flit
-	queued bool
-}
-
-// retxFlit is one scheduled replay.
-type retxFlit struct {
-	id       topo.SwitchID
-	ord, out int
-	lf       linkFlit
-	at       uint64
 }
 
 type injState struct {
@@ -141,11 +84,6 @@ type NetConfig struct {
 	// (sink-only; generation is unsupported in the flit model).
 	SnoopPorts int
 	Snoop      func(sw topo.SwitchID, m *mesg.Message) Verdict
-	// LinkFault, when non-nil, is the wire-corruption oracle: called
-	// once per flit crossing switch output link (sw, out), a true
-	// return flips checksum bits in transit, exercising the link-level
-	// detect/nack/replay protocol end to end.
-	LinkFault func(sw topo.SwitchID, out int) bool
 }
 
 // NewNetwork builds the flit-level BMIN for tp.
@@ -157,11 +95,8 @@ func NewNetwork(tp *topo.T, cfg NetConfig) *Network {
 		injP:     make([]injState, tp.Nodes),
 		injM:     make([]injState, tp.Nodes),
 		linkQ:    make(map[linkKey][]Flit),
-		assembly: make(map[uint64]int),
 		deliverP: make([]func(*mesg.Message), tp.Nodes),
 		deliverM: make([]func(*mesg.Message), tp.Nodes),
-		links:    make(map[outKey]*linkCtl),
-		cfg:      cfg,
 	}
 	n.switches = make([]*Switch, tp.NumSwitches())
 	for i := range n.switches {
@@ -220,19 +155,16 @@ func (n *Network) Tick() {
 	n.now++
 	// 1. Injection: one flit per LinkCyclesPerFlit per endpoint link.
 	for i := range n.injP {
-		n.inject(&n.injP[i], mesg.P(i))
-		n.inject(&n.injM[i], mesg.M(i))
+		n.inject(&n.injP[i])
+		n.inject(&n.injM[i])
 	}
 	// 2. Switches.
 	for _, s := range n.switches {
 		s.Tick()
 	}
-	// 3. Due link-level retransmissions re-enter their links (and may
-	// be corrupted again — the oracle sees every transmission attempt).
-	n.pumpRetx()
-	// 4. Inter-switch links and endpoint delivery.
+	// 3. Inter-switch links and endpoint delivery.
 	n.moveLinks()
-	// 5. Drain link queues into downstream switch buffers, in fixed
+	// 4. Drain link queues into downstream switch buffers, in fixed
 	// (switch, port, vc) order: buffer space is contended, so the drain
 	// order decides which flit wins a slot and must replay identically
 	// from a given seed.
@@ -273,7 +205,7 @@ func (n *Network) Tick() {
 }
 
 // inject pushes the next pending flit onto the first switch.
-func (n *Network) inject(st *injState, end mesg.End) {
+func (n *Network) inject(st *injState) {
 	if len(st.pending) == 0 || st.freeAt > n.now {
 		return
 	}
@@ -288,7 +220,6 @@ func (n *Network) inject(st *injState, end mesg.End) {
 	}
 	st.pending = popFront(st.pending)
 	st.freeAt = n.now + LinkCyclesPerFlit
-	_ = end
 }
 
 // vcForID derives the message's VC from its destination.
@@ -300,156 +231,21 @@ func (n *Network) vcForID(id uint64) int {
 
 // moveLinks collects transmitted flits from every switch output and
 // puts them on the wire: to the next switch (re-routed) or to the
-// endpoint, through the link-level error protocol.
+// endpoint.
 func (n *Network) moveLinks() {
 	for ord, s := range n.switches {
 		id := n.switchID(ord)
 		for out := 0; out < 2*n.tp.Radix; out++ {
 			for _, f := range s.Collect(out) {
 				n.Stats.FlitsMoved++
-				n.xmit(id, ord, out, f)
+				n.forward(id, out, f)
 			}
-		}
-	}
-}
-
-// link returns (lazily creating) the error-protocol state of one
-// switch output link.
-func (n *Network) link(ord, out int) *linkCtl {
-	k := outKey{ord, out}
-	lc := n.links[k]
-	if lc == nil {
-		lc = &linkCtl{}
-		n.links[k] = lc
-	}
-	return lc
-}
-
-// xmit sends one fresh flit across link (ord, out): it gets the next
-// link sequence number and a pristine copy enters the replay window.
-// When the window is full (too many unacknowledged flits in recovery)
-// the flit is held instead — link-level flow control — and transmitted
-// once acknowledgements free a slot.
-func (n *Network) xmit(id topo.SwitchID, ord, out int, f Flit) {
-	lc := n.link(ord, out)
-	if len(lc.hold) > 0 || len(lc.replay) >= ReplayFlits {
-		lc.hold = append(lc.hold, f)
-		return
-	}
-	lf := linkFlit{seq: lc.nextSend, f: f}
-	lc.nextSend++
-	lc.replay = append(lc.replay, lf)
-	n.transmit(id, ord, out, lc, lf)
-}
-
-// transmit puts one (possibly replayed) stamped flit on the wire,
-// where the corruption oracle may hit it, and runs the receiver side.
-func (n *Network) transmit(id topo.SwitchID, ord, out int, lc *linkCtl, lf linkFlit) {
-	if n.cfg.LinkFault != nil && n.cfg.LinkFault(id, out) {
-		lf.f.Sum ^= 0x5555 // wire corruption; the CRC check below rejects it
-	}
-	n.recv(id, ord, out, lc, lf)
-}
-
-// recv is the receiving link interface: enforce total link order, then
-// verify the checksum. A flit ahead of the expected sequence is
-// discarded (its pristine copy waits in the replay window); a stale
-// duplicate is discarded outright; a corrupted in-order flit is nacked
-// and replayed after a round trip. When a recovered flit closes the
-// gap, every consecutive already-transmitted successor is chain-
-// replayed immediately, so a burst discarded behind one corruption
-// recovers in one extra round trip.
-func (n *Network) recv(id topo.SwitchID, ord, out int, lc *linkCtl, lf linkFlit) {
-	if lf.seq != lc.nextRecv {
-		return
-	}
-	if !lf.f.SumOK() {
-		n.Stats.FlitsCorrupted++
-		n.scheduleReplay(id, ord, out, lc, lf.seq)
-		return
-	}
-	lc.ack(lf.seq)
-	lc.nextRecv++
-	// Chain replay: successors discarded behind the recovered gap sit
-	// in the replay window with no retransmission queued — schedule
-	// them now (skipping any whose replay is already in flight).
-	for i := range lc.replay {
-		pf := &lc.replay[i]
-		if pf.queued {
-			continue
-		}
-		n.scheduleReplay(id, ord, out, lc, pf.seq)
-	}
-	n.forward(id, ord, out, lf.f)
-}
-
-// scheduleReplay queues the pristine copy of link sequence seq for
-// retransmission one round trip from now.
-func (n *Network) scheduleReplay(id topo.SwitchID, ord, out int, lc *linkCtl, seq uint64) {
-	for i := range lc.replay {
-		if lc.replay[i].seq == seq {
-			lc.replay[i].queued = true
-			n.Stats.FlitRetransmits++
-			n.retx = append(n.retx, retxFlit{id: id, ord: ord, out: out, lf: lc.replay[i], at: n.now + RetxRoundTrip})
-			return
-		}
-	}
-	panic(fmt.Sprintf("flit: replay window lost link seq %d on link sw%d:out%d", seq, ord, out))
-}
-
-// pumpRetx re-transmits due replays, then drains held flits into freed
-// replay-window slots. Replays go back through transmit, so they face
-// the corruption oracle again; entries scheduled while pumping (a
-// replay corrupted anew) are preserved for the next round trip.
-func (n *Network) pumpRetx() {
-	var rest []retxFlit
-	for i := 0; i < len(n.retx); i++ {
-		r := n.retx[i]
-		if r.at > n.now {
-			rest = append(rest, r)
-			continue
-		}
-		lc := n.link(r.ord, r.out)
-		for j := range lc.replay {
-			if lc.replay[j].seq == r.lf.seq {
-				lc.replay[j].queued = false
-				break
-			}
-		}
-		n.transmit(r.id, r.ord, r.out, lc, r.lf)
-	}
-	n.retx = rest
-	// Deterministic drain order: by switch ordinal, then output port.
-	for ord := range n.switches {
-		for out := 0; out < 2*n.tp.Radix; out++ {
-			lc := n.links[outKey{ord, out}]
-			if lc == nil {
-				continue
-			}
-			for len(lc.hold) > 0 && len(lc.replay) < ReplayFlits {
-				f := lc.hold[0]
-				lc.hold = lc.hold[1:]
-				lf := linkFlit{seq: lc.nextSend, f: f}
-				lc.nextSend++
-				lc.replay = append(lc.replay, lf)
-				n.transmit(n.switchID(ord), ord, out, lc, lf)
-			}
-		}
-	}
-}
-
-// ack frees the replay slot of a cleanly received flit.
-func (lc *linkCtl) ack(seq uint64) {
-	for i, pf := range lc.replay {
-		if pf.seq == seq {
-			lc.replay = append(lc.replay[:i], lc.replay[i+1:]...)
-			return
 		}
 	}
 }
 
 // forward routes one flit leaving (switch, out).
-func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
+func (n *Network) forward(id topo.SwitchID, out int, f Flit) {
 	hops := n.routes[f.MsgID]
 	// Find this switch's position on the route.
 	idx := -1
@@ -463,12 +259,10 @@ func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
 		panic(fmt.Sprintf("flit: flit of msg %d left %v port %d off its route %v", f.MsgID, id, out, hops))
 	}
 	if idx == len(hops)-1 {
-		// Endpoint delivery: reassemble the message.
-		n.assembly[f.MsgID]++
+		// Endpoint delivery: the tail completes the message.
 		if f.Tail {
-			n.assembly[f.MsgID] = 0
-			delete(n.assembly, f.MsgID)
-			m := n.msgOf(f.MsgID, hops)
+			m := n.msgs[f.MsgID]
+			delete(n.msgs, f.MsgID)
 			n.Stats.Delivered++
 			last := hops[idx]
 			delete(n.routes, f.MsgID)
@@ -483,13 +277,6 @@ func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
 	}
 	k := linkKey{sw: n.tp.SwitchOrdinal(next.Sw), port: int(next.In), vc: n.vcForID(f.MsgID)}
 	n.linkQ[k] = append(n.linkQ[k], f)
-}
-
-// msgOf recovers the message object stashed at Send time.
-func (n *Network) msgOf(id uint64, hops []topo.Hop) *mesg.Message {
-	m := n.msgs[id]
-	delete(n.msgs, id)
-	return m
 }
 
 // deliver hands the message to the endpoint past the final hop.
@@ -511,18 +298,10 @@ func (n *Network) Idle() bool {
 			return false
 		}
 	}
-	if len(n.retx) > 0 {
-		return false
-	}
 	// Drained linkQ entries persist (with empty queues) to keep their
 	// backing arrays warm, so count flits, not keys.
 	for _, q := range n.linkQ {
 		if len(q) > 0 {
-			return false
-		}
-	}
-	for _, lc := range n.links {
-		if len(lc.hold) > 0 {
 			return false
 		}
 	}

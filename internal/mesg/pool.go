@@ -20,21 +20,13 @@ package mesg
 // attached) without touching any call site.
 type Pool struct {
 	free []*Message
-	// Gets/News/Puts count pool traffic: News is the cold-miss
-	// allocation count, so Gets-News is the number of recycles.
-	Gets, News, Puts uint64
 }
 
 // Get returns a zeroed Message, reusing a released one when available.
 func (p *Pool) Get() *Message {
 	if p == nil || len(p.free) == 0 {
-		if p != nil {
-			p.Gets++
-			p.News++
-		}
 		return &Message{}
 	}
-	p.Gets++
 	m := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	*m = Message{}
@@ -48,6 +40,5 @@ func (p *Pool) Release(m *Message) {
 	if p == nil || m == nil {
 		return
 	}
-	p.Puts++
 	p.free = append(p.free, m)
 }

@@ -12,7 +12,7 @@ import (
 // waiting requesters of TRANSIENT entries become home fallbacks, and
 // the directory never processes another snoop.
 func TestFailOrdinalLosesEverything(t *testing.T) {
-	f := newFab(t, Config{Entries: 1024, Ways: 4, Policy: PolicyBitVector, SnoopPorts: 2})
+	f := newFab(t, Config{Entries: 1024, Ways: 4, Policy: PolicyBitVector})
 	sw := top0()
 	ord := tp16.SwitchOrdinal(sw)
 

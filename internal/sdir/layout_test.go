@@ -51,7 +51,7 @@ func TestSnoopStreamGolden(t *testing.T) {
 		{PolicyBitVector, 0, 0x013a3d8ae6010406},
 		{PolicyBitVector, 4, 0x7e311c6168f5fb84},
 	} {
-		f := MustNew(tp, Config{Entries: 64, Ways: 4, Policy: c.policy, SnoopPorts: 2, PendingEntries: c.pending})
+		f := MustNew(tp, Config{Entries: 64, Ways: 4, Policy: c.policy, PendingEntries: c.pending})
 		rng := sim.NewRNG(uint64(31 + c.pending + int(c.policy)))
 		h := fnv.New64a()
 		var buf [8]byte

@@ -88,9 +88,6 @@ type Config struct {
 	Ways int
 	// Policy is the read-in-TRANSIENT policy.
 	Policy Policy
-	// SnoopPorts is the number of directory lookups per cycle (2 in
-	// the DRESAR design: a 2-way multiported SRAM).
-	SnoopPorts int
 	// PendingEntries enables the 8×8 design's pending buffer: a small
 	// multiported store for TRANSIENT blocks (8–16 entries). 0 keeps
 	// every lookup on the main array. When enabled, TRANSIENT blocks
@@ -119,7 +116,7 @@ func (cfg Config) Validate() error {
 
 // DefaultConfig returns the evaluation's 1K-entry 4-way configuration.
 func DefaultConfig() Config {
-	return Config{Entries: 1024, Ways: 4, Policy: PolicyRetry, SnoopPorts: 2}
+	return Config{Entries: 1024, Ways: 4, Policy: PolicyRetry}
 }
 
 // Stats aggregates switch-directory counters. Each switch's directory
@@ -187,10 +184,13 @@ type entry struct {
 }
 
 // maxWays is the largest associativity a rank byte can order, and
-// maxNodes the largest machine a 16-bit node ID can name.
+// maxNodes the largest machine a 16-bit node ID can name. snoopPorts
+// is the directory lookups per cycle: Section 4.2's 2-way multiported
+// SRAM.
 const (
-	maxWays  = 256
-	maxNodes = 1 << 16
+	maxWays    = 256
+	maxNodes   = 1 << 16
+	snoopPorts = 2
 )
 
 // dir is one switch's directory instance. Set s occupies
@@ -259,9 +259,6 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 		return nil, fmt.Errorf("sdir: %d nodes exceed the %d a 16-bit entry field can name", tp.Nodes, maxNodes)
 	}
 	nsets := cfg.Entries / cfg.Ways
-	if cfg.SnoopPorts <= 0 {
-		cfg.SnoopPorts = 2
-	}
 	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]*dir, tp.NumSwitches()),
 		disabled: make([]bool, tp.NumSwitches()), failed: make([]bool, tp.NumSwitches())}
 	for i := range f.dirs {
@@ -339,7 +336,7 @@ func (d *dir) find(addr uint64) *entry {
 	return nil
 }
 
-// chargePort models the 2-way multiported SRAM: the first SnoopPorts
+// chargePort models the 2-way multiported SRAM: the first snoopPorts
 // lookups in a cycle are free; later ones wait.
 func (f *Fabric) chargePort(d *dir, now sim.Cycle) sim.Cycle {
 	if d.portCycle != now {
@@ -347,7 +344,7 @@ func (f *Fabric) chargePort(d *dir, now sim.Cycle) sim.Cycle {
 		d.portUsed = 0
 	}
 	d.portUsed++
-	delay := sim.Cycle((d.portUsed - 1) / f.cfg.SnoopPorts)
+	delay := sim.Cycle((d.portUsed - 1) / snoopPorts)
 	d.stats.PortDelayTotal += uint64(delay)
 	return delay
 }

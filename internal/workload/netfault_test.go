@@ -10,10 +10,10 @@ import (
 )
 
 // TestFFTZeroNetFaultPins pins the FFT kernel's end-to-end numbers for
-// both machine configurations. The fault-tolerance machinery (CRC
-// stamping, replay windows, alternate-route tables) must be perfectly
-// invisible while no fault is active: any drift in these values means
-// the error protocol leaked into the healthy fast path.
+// both machine configurations. The fault-tolerance machinery
+// (link-corruption oracles, retransmit timing, alternate routes) must
+// be perfectly invisible while no fault is active: any drift in these
+// values means the error model leaked into the healthy fast path.
 func TestFFTZeroNetFaultPins(t *testing.T) {
 	cases := []struct {
 		name     string

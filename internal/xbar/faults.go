@@ -1,15 +1,16 @@
 // Network fault tolerance for the message-granularity BMIN model.
 //
-// Three fault classes are supported, mirroring the flit-level model in
-// package flit and driven by fault.NetPlan:
+// Three fault classes are supported, driven by fault.NetPlan. This is
+// the simulator's only link-error model; the flit-level switch model
+// (package flit) has none.
 //
 //   - transient link corruption: an oracle installed per output link
 //     (SetLinkCorrupter) decides, per transmission attempt, whether the
-//     receiver's per-flit checksum rejects the message. Rejected
-//     transmissions are replayed from the sender's bounded replay
-//     buffer; at message granularity that is modeled as extended link
-//     occupancy (re-serialization plus a nack round trip), credit-safe
-//     because the downstream reservation is unchanged.
+//     receiver rejects the message. Each rejected attempt is modeled
+//     analytically as extended link occupancy: one more serialization
+//     of the message plus a nack round trip (RetxRoundTrip), at most
+//     MaxLinkRetries times per traversal. It is credit-safe because
+//     the downstream reservation is unchanged.
 //
 //   - hard link failure (DownLink): the directional link never carries
 //     another message. Routing computes an alternate path around it —

@@ -123,14 +123,17 @@ fuzz:
 
 # Short coverage-guided fuzzing of the fault-recovery surfaces: routing
 # under arbitrary link/switch deaths, the job-journal decoder under
-# torn / bit-flipped / duplicated segment bytes, and the home
-# directories' duplicate filter against its reference model under
-# arbitrary completion and lookup sequences. Offline and deterministic
-# enough for the default gate; crashes land in testdata/fuzz/ as usual.
+# torn / bit-flipped / duplicated segment bytes, the home directories'
+# duplicate filter against its reference model under arbitrary
+# completion and lookup sequences, and a one-set switch directory's
+# TRANSIENT tracking under arbitrary snoop sequences. Offline and
+# deterministic enough for the default gate; crashes land in
+# testdata/fuzz/ as usual.
 fuzz-short:
 	go test -run '^$$' -fuzz FuzzRoute -fuzztime 10s ./internal/xbar
 	go test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz FuzzDuplicateFilter -fuzztime 10s ./internal/dirctl
+	go test -run '^$$' -fuzz FuzzSwitchDirectory -fuzztime 10s ./internal/sdir
 
 clean:
 	go clean ./...

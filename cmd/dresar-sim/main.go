@@ -9,12 +9,8 @@
 //	           [-net-faults linkdown=0:4@5000,switchdown=6@8000]
 //	           [-watchdog 1000000]
 //	           [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	dresar-sim -sweep [-scale small|paper] [-workers N]
 //
-// -sweep regenerates the paper's figure sweep (every app × directory
-// size) on a bounded worker pool — each cell is its own isolated
-// single-threaded simulation, so the tables do not depend on -workers —
-// and prints Figures 8–11.
+// The paper's figure sweep (every app × directory size) is cmd/figures.
 //
 // -cpuprofile/-memprofile write pprof profiles (the heap profile is
 // taken when the run ends, with the machine still live, so
@@ -25,7 +21,8 @@
 // for radix, a power of two; matrix/grid dimension for the others, a
 // multiple of 16 for lu; 0 uses the paper's Table 2 input). -iters sets
 // SOR's iteration count at any -size; it exits 2 for any other kernel.
-// A negative count or an input the kernel cannot take exactly exits 2.
+// A negative count, an input the kernel cannot take exactly, an unknown
+// -policy or a -faults or -net-faults plan that does not parse exits 2.
 //
 // -faults takes a fault-injection plan (see fault.ParsePlan):
 // drop/dup/delay permille rates for home-bound requests, periodic
@@ -39,7 +36,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,7 +46,6 @@ import (
 
 	"dresar/internal/core"
 	"dresar/internal/fault"
-	"dresar/internal/figures"
 	"dresar/internal/sdir"
 	"dresar/internal/sim"
 	"dresar/internal/workload"
@@ -71,15 +66,13 @@ func main() {
 	faults := flag.String("faults", "", "fault-injection plan, e.g. drop=20,dup=10,seed=7 (empty = none)")
 	netFaults := flag.String("net-faults", "", "network fault plan, e.g. corruptlink=0:4,linkdown=1:5@5000,switchdown=6@8000 (empty = none)")
 	watchdog := flag.Uint64("watchdog", 0, "liveness watchdog: max cycles without progress (0 = off)")
-	sweep := flag.Bool("sweep", false, "run the full figure sweep (every app × directory size) instead of one kernel")
-	scale := flag.String("scale", "small", "sweep input scale: small or paper")
-	workers := flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at the end of the run: the in-use heap while the machine is still live, and all allocations")
 	flag.Parse()
 	itersSet := false
 	flag.Visit(func(f *flag.Flag) { itersSet = itersSet || f.Name == "iters" })
-	if err := checkFlags(*app, *size, *iters, itersSet, *entries, *pending, *swc); err != nil {
+	pol, plan, netPlan, err := checkFlags(*app, *size, *iters, itersSet, *entries, *pending, *swc, *policy, *faults, *netFaults)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dresar-sim: %v\n", err)
 		os.Exit(2)
 	}
@@ -90,18 +83,6 @@ func main() {
 		fail(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
-	if *sweep {
-		runSweep(*scale, *workers)
-		if *memprofile != "" {
-			writeHeapProfile(*memprofile, nil)
-		}
-		return
-	}
-
-	plan, err := fault.ParsePlan(*faults)
-	fail(err)
-	netPlan, err := fault.ParseNetPlan(*netFaults)
-	fail(err)
 
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.Radix = *nodes, *radix
@@ -116,14 +97,7 @@ func main() {
 	}
 	if *entries > 0 {
 		cfg = cfg.WithSwitchDir(*entries)
-		switch *policy {
-		case "retry":
-			cfg.SwitchDir.Policy = sdir.PolicyRetry
-		case "bitvector":
-			cfg.SwitchDir.Policy = sdir.PolicyBitVector
-		default:
-			fail(fmt.Errorf("unknown policy %q", *policy))
-		}
+		cfg.SwitchDir.Policy = pol
 		cfg.SwitchDir.PendingEntries = *pending
 	}
 	if *swc > 0 {
@@ -239,8 +213,29 @@ func newWorkload(app string, size, iters, nodes int) (workload.Workload, error) 
 // explicit -iters (itersSet) for a kernel other than SOR, which has no
 // iteration count, an FFT size that NewFFT would round up to a power
 // of four, an LU size that is not whole blocks, a radix key count that
-// is not a power of two, and an unknown kernel.
-func checkFlags(app string, size, iters int, itersSet bool, entries, pending, swc int) error {
+// is not a power of two, an unknown kernel, an unknown policy (with
+// or without switch directories) and a fault or network fault plan
+// that does not parse. It returns the policy and the two plans.
+func checkFlags(app string, size, iters int, itersSet bool, entries, pending, swc int, policy, faults, netFaults string) (pol sdir.Policy, plan fault.Plan, netPlan fault.NetPlan, err error) {
+	switch policy {
+	case "retry":
+		pol = sdir.PolicyRetry
+	case "bitvector":
+		pol = sdir.PolicyBitVector
+	default:
+		return pol, plan, netPlan, fmt.Errorf("-policy %q: want retry or bitvector", policy)
+	}
+	if plan, err = fault.ParsePlan(faults); err != nil {
+		return pol, plan, netPlan, fmt.Errorf("-faults: %v", err)
+	}
+	if netPlan, err = fault.ParseNetPlan(netFaults); err != nil {
+		return pol, plan, netPlan, fmt.Errorf("-net-faults: %v", err)
+	}
+	return pol, plan, netPlan, checkCounts(app, size, iters, itersSet, entries, pending, swc)
+}
+
+// checkCounts is checkFlags' check of the counts and the kernel.
+func checkCounts(app string, size, iters int, itersSet bool, entries, pending, swc int) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -283,30 +278,6 @@ func checkFlags(app string, size, iters int, itersSet bool, entries, pending, sw
 		return fmt.Errorf("unknown kernel %q (want fft, tc, sor, fwa, gauss, ge, lu or radix)", app)
 	}
 	return nil
-}
-
-// runSweep regenerates the paper's figure sweep (every app × switch
-// directory size) on a bounded worker pool and prints Figures 8–11.
-// Each cell is an isolated single-threaded simulation, so the tables
-// are identical whatever the pool width.
-func runSweep(scale string, workers int) {
-	sc := figures.ScaleSmall
-	switch scale {
-	case "small":
-	case "paper":
-		sc = figures.ScalePaper
-	default:
-		fail(fmt.Errorf("unknown scale %q (want small or paper)", scale))
-	}
-	sweep, err := figures.SweepCtx(context.Background(), sc, figures.Apps, figures.DirSizes, workers)
-	fail(err)
-	fmt.Print(figures.Fig8(sweep))
-	fmt.Println()
-	fmt.Print(figures.Fig9(sweep))
-	fmt.Println()
-	fmt.Print(figures.Fig10(sweep))
-	fmt.Println()
-	fmt.Print(figures.Fig11(sweep))
 }
 
 // writeHeapProfile writes a heap profile to path after a forced GC,

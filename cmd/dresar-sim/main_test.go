@@ -9,11 +9,11 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		app                                string
+		app, policy, faults, netFaults     string
 		size, iters, entries, pending, swc int
 		itersSet                           bool
 	}
-	ok := flags{app: "fft", iters: 4, entries: 1024}
+	ok := flags{app: "fft", policy: "retry", iters: 4, entries: 1024}
 	for _, c := range []struct {
 		name string
 		edit func(*flags)
@@ -57,10 +57,17 @@ func TestCheckFlags(t *testing.T) {
 		{"radix 4096", func(f *flags) { f.app, f.size = "radix", 4096 }, false},
 		{"radix 1000", func(f *flags) { f.app, f.size = "radix", 1000 }, true},
 		{"unknown kernel", func(f *flags) { f.app = "qsort" }, true},
+		{"bitvector", func(f *flags) { f.policy = "bitvector" }, false},
+		{"unknown policy", func(f *flags) { f.entries, f.policy = 256, "bogus" }, true},
+		{"unknown policy on the base system", func(f *flags) { f.app, f.size, f.entries, f.policy = "tc", 16, 0, "bogus" }, true},
+		{"fault plan", func(f *flags) { f.faults = "drop=20,dup=10,seed=7" }, false},
+		{"bad fault plan", func(f *flags) { f.faults = "drop=x" }, true},
+		{"net fault plan", func(f *flags) { f.netFaults = "linkdown=0:4@5000,switchdown=6@8000" }, false},
+		{"bad net fault plan", func(f *flags) { f.netFaults = "linkdown=x" }, true},
 	} {
 		f := ok
 		c.edit(&f)
-		err := checkFlags(f.app, f.size, f.iters, f.itersSet, f.entries, f.pending, f.swc)
+		_, _, _, err := checkFlags(f.app, f.size, f.iters, f.itersSet, f.entries, f.pending, f.swc, f.policy, f.faults, f.netFaults)
 		if (err != nil) != c.bad {
 			t.Errorf("%s: checkFlags(%+v) = %v, want an error: %v", c.name, f, err, c.bad)
 		}

@@ -8,19 +8,21 @@
 // cache-to-cache request always find its data at the owner even if
 // the owner just replaced the line).
 //
-// Each way of a Cache is one 64-bit line word holding its tag, MSI
-// state and LRU rank. Every line also carries a 64-bit data word
-// instead of data bytes. In the hierarchy it is the block's version:
-// writers increment it, and the test suite uses it to prove value
-// coherence end to end. The same array also serves as the trace-driven
-// simulator's switch directories, whose data word is the owner, and as
-// the switch caches of package swcache, whose data word is the cached
-// version.
+// Each way of a Cache is one 64-bit line word holding its tag, state
+// and LRU rank. Every line also carries a 64-bit data word instead of
+// data bytes. In the hierarchy it is the block's version: writers
+// increment it, and the test suite uses it to prove value coherence
+// end to end. Cache is the simulator's only set-associative array: it
+// also serves as the switch directories of package sdir and of the
+// trace-driven simulator, whose data word names the owner, and as the
+// switch caches of package swcache, whose data word is the cached
+// version. A fourth state, Transient, pins a switch directory's line
+// while its cache-to-cache transfer is in flight.
 package cache
 
 import "fmt"
 
-// State is an MSI cache-line state.
+// State is a line state: MSI, plus Transient for switch directories.
 type State uint8
 
 const (
@@ -30,6 +32,10 @@ const (
 	Shared
 	// Modified lines are dirty and exclusive.
 	Modified
+	// Transient lines are pinned: Insert never displaces one. A switch
+	// directory holds a block Transient from the read it intercepts
+	// until the copyback or writeback that ends the transfer passes.
+	Transient
 )
 
 func (s State) String() string {
@@ -40,6 +46,8 @@ func (s State) String() string {
 		return "S"
 	case Modified:
 		return "M"
+	case Transient:
+		return "T"
 	}
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
@@ -62,7 +70,7 @@ type Stats struct {
 
 // Cache is one set-associative cache level. Each way is one 64-bit
 // line word in a flat array (set s occupies indices [s*ways,
-// (s+1)*ways)), holding the way's tag, LRU rank and MSI state, so a
+// (s+1)*ways)), holding the way's tag, LRU rank and state, so a
 // 4-way set is one 32-byte run that a lookup and its LRU update read
 // and write in place. There are no pointers and no per-set
 // allocations: lookups are the hottest operation in the whole
@@ -79,7 +87,13 @@ type Stats struct {
 //
 // A set's ranks order its ways by last use: they are always a
 // permutation of 0..ways-1, and ways-1 is the most recently used.
-// Replacement takes the first Invalid way, else the lowest rank.
+// Replacement takes the first Invalid way, else the lowest-ranked way
+// that is not Transient.
+//
+// A copy of an unbuilt Cache is another unbuilt cache: the two share
+// only the one set of invalid ways, which nothing writes, and each
+// builds its own line words at its first Insert. A built Cache must
+// not be copied.
 type Cache struct {
 	cfg   Config
 	lines []uint64 // line words: tag<<tagShift | rank<<rankShift | state
@@ -92,7 +106,7 @@ type Cache struct {
 }
 
 // A line word packs one way as tag<<tagShift | rank<<rankShift |
-// state: the MSI state in its low 2 bits, the LRU rank in the next 8
+// state: the state in its low 2 bits, the LRU rank in the next 8
 // and the tag (addr>>shift) in the top 54. An invalid way's tag field
 // holds noTag. A tag fits only below noTag (with 32-byte blocks, for
 // every address below 2^59-32): find misses any other address before
@@ -271,11 +285,14 @@ type Victim struct {
 }
 
 // Insert places addr with the given state and data, evicting the LRU
-// way if the set is full. It returns the displaced valid line, if any.
-// Inserting a block that is already present updates it in place. An
-// address whose tag does not fit a line word panics.
+// way that is not Transient if the set is full. It returns the
+// displaced valid line, if any. Into a set whose ways are all
+// Transient it places nothing and returns the offered line as the
+// victim. Inserting a block that is already present updates it in
+// place, whatever its state. An address whose tag does not fit a line
+// word panics.
 func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
-	if st == Invalid || st > Modified {
+	if st == Invalid || st > Transient {
 		panic(fmt.Sprintf("cache: Insert with state %v", st))
 	}
 	tg := c.tag(addr)
@@ -292,16 +309,20 @@ func (c *Cache) Insert(addr uint64, st State, data uint64) (Victim, bool) {
 		c.touch(base, i)
 		return Victim{}, false
 	}
-	i := int(base)
-	for w := i; w < int(base+c.ways); w++ {
-		if lineState(c.lines[w]) == Invalid {
+	i, low := -1, uint64(maxWays)
+	for w, l := range c.lines[base : base+c.ways] {
+		if lineState(l) == Invalid {
 			i = w
 			break
 		}
-		if lineRank(c.lines[w]) < lineRank(c.lines[i]) {
-			i = w
+		if r := lineRank(l); r < low && lineState(l) != Transient {
+			i, low = w, r
 		}
 	}
+	if i < 0 {
+		return Victim{Addr: tg << c.shift, State: st, Data: data}, true
+	}
+	i += int(base)
 	var out Victim
 	l := c.lines[i]
 	had := lineState(l) != Invalid

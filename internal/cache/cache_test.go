@@ -445,3 +445,55 @@ func TestWriteBufferRemoveAndForEach(t *testing.T) {
 		t.Fatalf("early exit visited %d", count)
 	}
 }
+
+// TestTransientPinned: Insert never displaces a Transient line. In a
+// one-set 4-way cache a Transient line outlives inserts that make it
+// the least recently used way; once every way is Transient an insert
+// places nothing and returns the offered line as its victim; and
+// Invalidate frees a Transient way for the next insert.
+func TestTransientPinned(t *testing.T) {
+	c := MustNew(Config{SizeBytes: 4 * 32, Ways: 4, BlockBytes: 32})
+	for b := uint64(0); b < 4; b++ {
+		c.Insert(b*32, Modified, b)
+	}
+	c.Insert(0, Transient, 10) // in place: block 0 becomes the most recent way
+	for b := uint64(4); b < 8; b++ {
+		// Blocks 1, 2 and 3 go first; by block 7 block 0 is the least
+		// recently used way, and block 4 goes in its place.
+		v, had := c.Insert(b*32, Modified, b)
+		if want := (b - 3) * 32; !had || v.Addr != want || v.State != Modified {
+			t.Fatalf("insert of block %d displaced %+v (had=%v), want block %d", b, v, had, want/32)
+		}
+	}
+	if st, d := c.Probe(0); st != Transient || d != 10 {
+		t.Fatalf("pinned block reads %v %d, want T 10", st, d)
+	}
+	for b := uint64(5); b < 8; b++ {
+		c.Insert(b*32, Transient, b)
+	}
+	evictions := c.Stats.Evictions
+	v, had := c.Insert(8*32, Modified, 8)
+	if want := (Victim{Addr: 8 * 32, State: Modified, Data: 8}); !had || v != want {
+		t.Fatalf("insert into an all-Transient set returned %+v (had=%v), want the offered line %+v", v, had, want)
+	}
+	if st, _ := c.Probe(8 * 32); st != Invalid || c.Stats.Evictions != evictions {
+		t.Fatalf("an all-Transient set took block 8 (%v) or counted an eviction (%+v)", st, c.Stats)
+	}
+	seen := map[uint64]State{}
+	c.Lines(func(a uint64, st State, _ uint64) { seen[a] = st })
+	if len(seen) != 4 || seen[0] != Transient || seen[5*32] != Transient || seen[6*32] != Transient || seen[7*32] != Transient {
+		t.Fatalf("lines = %v, want blocks 0, 5, 6 and 7 Transient", seen)
+	}
+	if st, d, ok := c.Invalidate(6 * 32); !ok || st != Transient || d != 6 {
+		t.Fatalf("Invalidate of a Transient line = %v %d %v", st, d, ok)
+	}
+	if v, had := c.Insert(8*32, Modified, 8); had {
+		t.Fatalf("insert into the freed way displaced %+v", v)
+	}
+	if st, d := c.Probe(8 * 32); st != Modified || d != 8 {
+		t.Fatalf("block 8 reads %v %d after its insert, want M 8", st, d)
+	}
+	if Transient.String() != "T" {
+		t.Fatalf("Transient prints %q", Transient.String())
+	}
+}

@@ -623,8 +623,10 @@ func (m *Machine) CheckInvariants() error {
 					shared[addr] = ns
 				}
 				ns.Add(i)
-			case cache.Invalid:
-				// No copy here; nothing to record.
+			case cache.Invalid, cache.Transient:
+				// No copy here; nothing to record. (Lines visits no
+				// Invalid line, and only switch directories hold
+				// Transient ones.)
 			}
 		})
 	}

@@ -2,7 +2,7 @@
 // 10, 11) and two extensions beyond it (E1 and the design ablations):
 // the workload construction, the sweeps over switch-directory sizes,
 // the base-system comparisons, and the table formatting. cmd/figures,
-// dresar-sim -sweep, the job server and the repository benchmark use it.
+// the job server and the repository benchmark use it.
 //
 // Two scales are supported: ScalePaper uses the paper's inputs (Table
 // 2: FFT 16K points, TC/FWA/GAUSS 128×128, SOR 512×512; 16M-reference

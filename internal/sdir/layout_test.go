@@ -4,23 +4,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"runtime"
 	"testing"
 
+	"dresar/internal/cache"
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
 	"dresar/internal/topo"
 )
 
-// scanTransient counts the TRANSIENT entries at sw by walking its slab.
+// scanTransient counts the TRANSIENT entries at sw by walking its
+// array's lines.
 func scanTransient(f *Fabric, sw topo.SwitchID) int {
 	n := 0
-	for _, e := range f.dirs[f.tp.SwitchOrdinal(sw)].slab {
-		if e.state == Trans {
+	f.dirs[f.tp.SwitchOrdinal(sw)].c.Lines(func(_ uint64, st cache.State, _ uint64) {
+		if st == cache.Transient {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -34,7 +35,7 @@ func scanTransient(f *Fabric, sw topo.SwitchID) int {
 // bit vectors spill past 64, 64-entry 4-way directories over 160 blocks
 // keep sets evicting, and the stream disables one switch, kills
 // another, and corrupts and evicts random entries partway through.
-// After every op TransientCount must equal a scan of the slab.
+// After every op TransientCount must equal a scan of the array.
 func TestSnoopStreamGolden(t *testing.T) {
 	tp := topo.MustNew(256, 16)
 	sws := []topo.SwitchID{{Stage: 0, Index: 0}, {Stage: 0, Index: 5}, {Stage: 1, Index: 0},
@@ -109,7 +110,7 @@ func TestSnoopStreamGolden(t *testing.T) {
 				word(uint64(p))
 			}
 			if got, want := f.TransientCount(sw), scanTransient(f, sw); got != want {
-				t.Fatalf("%v/%d op %d: TransientCount %d, slab scan %d", c.policy, c.pending, i, got, want)
+				t.Fatalf("%v/%d op %d: TransientCount %d, array scan %d", c.policy, c.pending, i, got, want)
 			}
 		}
 		fmt.Fprintf(h, "%+v", f.TotalStats())
@@ -122,11 +123,10 @@ func TestSnoopStreamGolden(t *testing.T) {
 // TestEntryFootprint pins the switch-directory footprint at the
 // 1024-node radix-8 scale (512 switches of 1K entries) once every
 // switch has taken an insert: the fabric retains at most 24 bytes per
-// entry, New and the first inserts make at most three allocations per
-// switch (today two, plus four for the whole fabric), and the entry
-// type holds no pointer, slice or map, so the garbage collector never
-// scans a slab. Before its first insert a switch retains at most 512
-// bytes, none of them entries.
+// entry (today 16: a line word and a data word), and New and the first
+// inserts make at most three allocations per switch (today two, plus
+// six for the whole fabric). Before its first insert a switch retains
+// at most 512 bytes, none of them entries.
 func TestEntryFootprint(t *testing.T) {
 	tp := topo.MustNew(1024, 8)
 	cfg := DefaultConfig()
@@ -157,13 +157,5 @@ func TestEntryFootprint(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1, func() { build(true) }); allocs > float64(3*tp.NumSwitches()) {
 		t.Errorf("New and one insert per switch make %.0f allocations for %d switches", allocs, tp.NumSwitches())
-	}
-	et := reflect.TypeOf(entry{})
-	for i := 0; i < et.NumField(); i++ {
-		switch k := et.Field(i).Type.Kind(); k {
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
-			reflect.Interface, reflect.Chan, reflect.Func, reflect.Array, reflect.Struct:
-			t.Errorf("entry.%s is a %v; entries must be flat scalars", et.Field(i).Name, k)
-		}
 	}
 }

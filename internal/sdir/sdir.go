@@ -8,11 +8,14 @@
 //
 // The per-block state machine is Figure 4: entries move between
 // INVALID, MODIFIED (owner known) and TRANSIENT (a switch-initiated
-// cache-to-cache transfer is in flight). Both of the paper's policies
-// for reads that hit a TRANSIENT entry are implemented: bounce the
-// requester with a Retry (the paper's choice, PolicyRetry) or
-// accumulate requester pids in a bit vector and serve them from the
-// copyback/writeback data (PolicyBitVector).
+// cache-to-cache transfer is in flight). Each switch's directory is a
+// cache.Cache of 32-byte blocks whose Modified and Transient lines are
+// the MODIFIED and TRANSIENT entries; the array never displaces a
+// Transient line. Both of the paper's policies for reads that hit a
+// TRANSIENT entry are implemented: bounce the requester with a Retry
+// (the paper's choice, PolicyRetry) or accumulate requester pids in a
+// bit vector and serve them from the copyback/writeback data
+// (PolicyBitVector).
 //
 // Port contention is modeled after the hardware design: a 2-way
 // multiported directory serves two snoops per cycle (four messages in
@@ -26,6 +29,7 @@ package sdir
 import (
 	"fmt"
 
+	"dresar/internal/cache"
 	"dresar/internal/check"
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
@@ -100,18 +104,20 @@ type Config struct {
 }
 
 // Validate reports why New would reject cfg's geometry: the entries
-// must split into a power-of-two number of sets of 1 to 256 ways.
+// must be a cache the size of that many blocks.
 func (cfg Config) Validate() error {
 	if cfg.Entries == 0 {
 		return fmt.Errorf("sdir: zero entries; omit the snooper instead")
 	}
-	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Entries%cfg.Ways != 0 {
-		return fmt.Errorf("sdir: %d entries not divisible into %d ways (at most %d)", cfg.Entries, cfg.Ways, maxWays)
-	}
-	if nsets := cfg.Entries / cfg.Ways; nsets&(nsets-1) != 0 {
-		return fmt.Errorf("sdir: set count %d not a power of two", nsets)
+	if err := cfg.array().Validate(); err != nil {
+		return fmt.Errorf("sdir: %w", err)
 	}
 	return nil
+}
+
+// array is one switch's directory, of the machine's 32-byte blocks.
+func (cfg Config) array() cache.Config {
+	return cache.Config{SizeBytes: cfg.Entries * 32, Ways: cfg.Ways, BlockBytes: 32}
 }
 
 // DefaultConfig returns the evaluation's 1K-entry 4-way configuration.
@@ -172,37 +178,25 @@ func (s *Stats) add(o *Stats) {
 	s.HomeFallbacks += o.HomeFallbacks
 }
 
-// entry is one directory line: 16 bytes and no pointers, so a
-// switch's slab is one allocation the garbage collector never scans.
-// Node IDs are 16 bits wide (New rejects larger machines).
-type entry struct {
-	tag   uint64 // block address
-	owner uint16 // dirty owner (MODIFIED, TRANSIENT)
-	state EntryState
-	rank  uint8  // LRU rank in the set; ways-1 is the most recent
-	first uint16 // first intercepted requester (TRANSIENT)
-}
+// snoopPorts is the directory lookups per cycle: Section 4.2's 2-way
+// multiported SRAM.
+const snoopPorts = 2
 
-// maxWays is the largest associativity a rank byte can order, and
-// maxNodes the largest machine a 16-bit node ID can name. snoopPorts
-// is the directory lookups per cycle: Section 4.2's 2-way multiported
-// SRAM.
-const (
-	maxWays    = 256
-	maxNodes   = 1 << 16
-	snoopPorts = 2
-)
+// word is a directory line's data word: the owner in its low 32 bits
+// and, in a TRANSIENT line, the first intercepted requester in its
+// high 32.
+func word(owner, first int) uint64 { return uint64(uint32(owner)) | uint64(uint32(first))<<32 }
 
-// dir is one switch's directory instance. Set s occupies
-// slab[s*ways : (s+1)*ways], and each set's ranks are a permutation
-// of 0..ways-1 ordered by last use. The slab is built at the switch's
+func ownerOf(data uint64) int { return int(uint32(data)) }
+func firstOf(data uint64) int { return int(data >> 32) }
+
+// dir is one switch's directory instance. Its array c holds a MODIFIED
+// entry as a Modified line and a TRANSIENT entry as a Transient line,
+// each with a word as its data, and holds no lines until the switch's
 // first insert: on a big machine most switches never see a write
-// reply. Until then it is nil, find misses and the fault walks see no
-// entries.
+// reply.
 type dir struct {
-	slab []entry
-	ways uint64
-	mask uint64 // set count - 1
+	c cache.Cache
 
 	// extra holds, by block address, the requesters a TRANSIENT entry
 	// intercepted after its first (PolicyBitVector only); nil until
@@ -226,7 +220,7 @@ type dir struct {
 type Fabric struct {
 	cfg      Config
 	tp       *topo.T
-	dirs     []*dir
+	dirs     []dir
 	disabled []bool // per-switch faulty flag: bypassed, draining only
 	failed   []bool // per-switch dead flag: bypassed entirely, state lost
 
@@ -249,30 +243,20 @@ func (f *Fabric) protoFail(sw topo.SwitchID, m *mesg.Message) {
 	f.Fail(err)
 }
 
-// New builds the switch-directory fabric for tp. Each switch's entry
-// slab is left to its first insert.
+// New builds the switch-directory fabric for tp. Every switch's array
+// is a copy of one unbuilt cache, so until its first insert it holds
+// no lines of its own.
 func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if tp.Nodes > maxNodes {
-		return nil, fmt.Errorf("sdir: %d nodes exceed the %d a 16-bit entry field can name", tp.Nodes, maxNodes)
-	}
-	nsets := cfg.Entries / cfg.Ways
-	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]*dir, tp.NumSwitches()),
-		disabled: make([]bool, tp.NumSwitches()), failed: make([]bool, tp.NumSwitches())}
+	n := tp.NumSwitches()
+	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]dir, n), disabled: make([]bool, n), failed: make([]bool, n)}
+	c := cache.MustNew(cfg.array())
 	for i := range f.dirs {
-		f.dirs[i] = &dir{ways: uint64(cfg.Ways), mask: uint64(nsets - 1)}
+		f.dirs[i].c = *c
 	}
 	return f, nil
-}
-
-// build gives d its entry slab, each set's ranks 0..ways-1.
-func (d *dir) build() {
-	d.slab = make([]entry, (d.mask+1)*d.ways)
-	for j := range d.slab {
-		d.slab[j].rank = uint8(uint64(j) % d.ways)
-	}
 }
 
 // MustNew panics on error.
@@ -291,49 +275,17 @@ func (f *Fabric) active(sw topo.SwitchID) bool {
 	return f.cfg.StageMask&(1<<uint(sw.Stage)) != 0
 }
 
-func (d *dir) set(addr uint64) []entry {
-	base := ((addr >> 5) & d.mask) * d.ways
-	return d.slab[base : base+d.ways]
-}
-
-// touch makes e the most recently used way of its set: e takes rank
-// ways-1 and every way ranked above it drops one.
-func touch(set []entry, e *entry) {
-	r, top := e.rank, uint8(len(set)-1)
-	if r == top {
-		return
-	}
-	for i := range set {
-		if set[i].rank > r {
-			set[i].rank--
-		}
-	}
-	e.rank = top
-}
-
 // waiters lists a TRANSIENT entry's intercepted requesters in
-// ascending order: the first plus any in the side table.
-func (d *dir) waiters(e *entry) []int {
-	extra, ok := d.extra[e.tag]
+// ascending order: the first, from its data word, plus any in the side
+// table.
+func (d *dir) waiters(addr, data uint64) []int {
+	extra, ok := d.extra[addr]
 	if !ok {
-		return []int{int(e.first)}
+		return []int{firstOf(data)}
 	}
-	all := mesg.NodeSetOf(int(e.first))
+	all := mesg.NodeSetOf(firstOf(data))
 	all.Or(extra)
 	return mesg.SharerList(all)
-}
-
-func (d *dir) find(addr uint64) *entry {
-	if d.slab == nil {
-		return nil
-	}
-	set := d.set(addr)
-	for i := range set {
-		if set[i].state != Inv && set[i].tag == addr {
-			return &set[i]
-		}
-	}
-	return nil
 }
 
 // chargePort models the 2-way multiported SRAM: the first snoopPorts
@@ -379,7 +331,7 @@ func (f *Fabric) Snoop(sw topo.SwitchID, m *mesg.Message, now sim.Cycle) xbar.Ac
 		return xbar.Action{}
 	}
 	ord := f.tp.SwitchOrdinal(sw)
-	d := f.dirs[ord]
+	d := &f.dirs[ord]
 	if f.failed[ord] {
 		// A dead switch has no directory left at all: nothing to drain,
 		// nothing to intercept. (The xbar also stops snooping at dead
@@ -432,57 +384,35 @@ func (f *Fabric) process(d *dir, sw topo.SwitchID, m *mesg.Message) xbar.Action 
 
 // insert records ownership from a passing write reply (home → writer).
 func (f *Fabric) insert(d *dir, m *mesg.Message) {
-	if e := d.find(m.Addr); e != nil {
-		if e.state == Trans {
-			// An in-flight transfer still owns this entry; do not
-			// clobber its obligations. (Rare: the home granted new
-			// ownership while our copyback is still travelling.)
-			d.stats.InsertBlocked++
-			return
-		}
-		e.state, e.owner = Mod, uint16(m.Requester)
-		touch(d.set(m.Addr), e)
-		return
-	}
-	if d.slab == nil {
-		d.build()
-	}
-	set := d.set(m.Addr)
-	var victim *entry
-	for i := range set {
-		if set[i].state == Inv {
-			victim = &set[i]
-			break
-		}
-		if set[i].state == Trans {
-			continue // never evict TRANSIENT
-		}
-		if victim == nil || set[i].rank < victim.rank {
-			victim = &set[i]
-		}
-	}
-	if victim == nil {
+	st, _ := d.c.Probe(m.Addr)
+	if st == cache.Transient {
+		// An in-flight transfer still owns this entry; do not clobber
+		// its obligations. (Rare: the home granted new ownership while
+		// our copyback is still travelling.)
 		d.stats.InsertBlocked++
 		return
 	}
-	if victim.state != Inv {
+	switch v, had := d.c.Insert(m.Addr, cache.Modified, word(m.Requester, 0)); {
+	case st == cache.Modified:
+		// Updated in place: a new owner, not a new entry.
+	case !had:
+		d.stats.Inserts++
+	case v.Addr == m.Addr:
+		// Every way of the set is TRANSIENT: nothing was placed.
+		d.stats.InsertBlocked++
+	default:
 		d.stats.Evictions++
+		d.stats.Inserts++
 	}
-	victim.tag, victim.state, victim.owner = m.Addr, Mod, uint16(m.Requester)
-	touch(set, victim)
-	d.stats.Inserts++
 }
 
 // readReq intercepts reads to blocks with known dirty owners.
 func (f *Fabric) readReq(d *dir, sw topo.SwitchID, m *mesg.Message) xbar.Action {
-	e := d.find(m.Addr)
-	if e == nil {
-		return xbar.Action{}
-	}
-	switch e.state {
-	case Inv:
-		// Unreachable: find never returns INVALID entries.
-	case Mod:
+	st, data := d.c.Probe(m.Addr)
+	switch st {
+	case cache.Invalid, cache.Shared:
+		// Not present: the read passes.
+	case cache.Modified:
 		// Re-route: sink the read, fire a marked CtoC request at the
 		// owner, go TRANSIENT until the copyback passes.
 		if f.cfg.PendingEntries > 0 && d.pendingCount >= f.cfg.PendingEntries {
@@ -495,26 +425,26 @@ func (f *Fabric) readReq(d *dir, sw topo.SwitchID, m *mesg.Message) xbar.Action 
 		} else {
 			d.stats.TopHits++
 		}
-		touch(d.set(m.Addr), e)
-		e.state, e.first = Trans, uint16(m.Requester)
+		o := ownerOf(data)
+		d.c.Insert(m.Addr, cache.Transient, word(o, m.Requester))
 		d.pendingCount++
 		return xbar.Action{
 			Sink: true,
 			Generated: []*mesg.Message{{
-				Kind: mesg.CtoCReq, Addr: m.Addr, Src: m.Src, Dst: mesg.P(int(e.owner)),
-				Requester: m.Requester, Owner: int(e.owner), Marked: true, Issued: m.Issued,
+				Kind: mesg.CtoCReq, Addr: m.Addr, Src: m.Src, Dst: mesg.P(o),
+				Requester: m.Requester, Owner: o, Marked: true, Issued: m.Issued,
 			}},
 		}
-	case Trans:
+	case cache.Transient:
 		d.stats.TransientHits++
 		if f.cfg.Policy == PolicyBitVector {
-			if p, extra := m.Requester, d.extra[e.tag]; p != int(e.first) && !extra.Has(p) {
+			if p, extra := m.Requester, d.extra[m.Addr]; p != firstOf(data) && !extra.Has(p) {
 				d.stats.BitVectorAdds++
 				extra.Add(p)
 				if d.extra == nil {
 					d.extra = make(map[uint64]mesg.NodeSet)
 				}
-				d.extra[e.tag] = extra
+				d.extra[m.Addr] = extra
 			}
 			return xbar.Action{Sink: true}
 		}
@@ -533,18 +463,13 @@ func (f *Fabric) readReq(d *dir, sw topo.SwitchID, m *mesg.Message) xbar.Action 
 // writeReq invalidates MODIFIED entries; in TRANSIENT the write is
 // bounced so the in-flight transfer can finish.
 func (f *Fabric) writeReq(d *dir, m *mesg.Message) xbar.Action {
-	e := d.find(m.Addr)
-	if e == nil {
-		return xbar.Action{}
-	}
-	switch e.state {
-	case Inv:
-		// Unreachable: find never returns INVALID entries.
-	case Mod:
+	switch st, _ := d.c.Probe(m.Addr); st {
+	case cache.Invalid, cache.Shared:
+		// Not present: the write passes.
+	case cache.Modified:
 		d.stats.Invalidates++
-		e.state = Inv
-		return xbar.Action{}
-	case Trans:
+		d.c.Invalidate(m.Addr)
+	case cache.Transient:
 		d.stats.WriteNacks++
 		return xbar.Action{
 			Sink: true,
@@ -560,18 +485,14 @@ func (f *Fabric) writeReq(d *dir, m *mesg.Message) xbar.Action {
 // ctocReq handles home-forwarded (or foreign-switch) transfer requests
 // travelling the backward path.
 func (f *Fabric) ctocReq(d *dir, m *mesg.Message) xbar.Action {
-	e := d.find(m.Addr)
-	if e == nil {
-		return xbar.Action{}
-	}
-	switch e.state {
-	case Inv:
-		// Unreachable: find never returns INVALID entries.
-	case Mod:
+	switch st, _ := d.c.Probe(m.Addr); st {
+	case cache.Invalid, cache.Shared:
+		// Not present: the request passes.
+	case cache.Modified:
 		// The transfer will move/downgrade the owner; our entry is stale.
 		d.stats.Invalidates++
-		e.state = Inv
-	case Trans:
+		d.c.Invalidate(m.Addr)
+	case cache.Transient:
 		if m.ForWrite {
 			// An ownership transfer must reach the owner: the writer
 			// completes through the owner's CtoC reply, and sinking
@@ -590,62 +511,56 @@ func (f *Fabric) ctocReq(d *dir, m *mesg.Message) xbar.Action {
 	return xbar.Action{}
 }
 
-// release clears a TRANSIENT entry's tracking.
-func (d *dir) release(e *entry) {
-	if e.state == Trans {
-		d.pendingCount--
-		delete(d.extra, e.tag)
+// release drops the entry for addr, if any. A MODIFIED entry counts
+// as invalidated; a TRANSIENT one ends its tracking and returns its
+// waiting requesters.
+func (d *dir) release(addr uint64) []int {
+	st, data, ok := d.c.Invalidate(addr)
+	if !ok {
+		return nil
 	}
-	e.state = Inv
+	if st != cache.Transient {
+		d.stats.Invalidates++
+		return nil
+	}
+	waiters := d.waiters(addr, data)
+	d.pendingCount--
+	delete(d.extra, addr)
+	return waiters
 }
 
-// copyBack observes the data returning home. A TRANSIENT entry's
-// extra bit-vector requesters are served straight from the copyback
-// data with marked replies, and their pids ride home on the message's
-// sharer vector.
+// copyBack observes the data returning home and drops the block's
+// entry. A TRANSIENT entry's extra bit-vector requesters are served
+// straight from the copyback data with marked replies, and their pids
+// ride home on the message's sharer vector.
 func (f *Fabric) copyBack(d *dir, m *mesg.Message) xbar.Action {
-	e := d.find(m.Addr)
-	if e == nil {
-		return xbar.Action{}
-	}
+	waiters := d.release(m.Addr)
+	var gen []*mesg.Message
 	if m.NoData {
 		// Transient-clear from a node that could not serve a marked
 		// CtoC request: bounce every waiting requester back to the
-		// home and drop the entry — MODIFIED entries naming that node
-		// are stale too.
-		var gen []*mesg.Message
-		if e.state == Trans {
-			for _, p := range d.waiters(e) {
-				d.stats.RetriesSent++
-				gen = append(gen, &mesg.Message{
-					Kind: mesg.Retry, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
-					Requester: p, Marked: true,
-				})
-			}
-		} else {
-			d.stats.Invalidates++
-		}
-		d.release(e)
-		return xbar.Action{Generated: gen}
-	}
-	var gen []*mesg.Message
-	if e.state == Trans {
-		first := m.Requester
-		for _, p := range d.waiters(e) {
-			if p == first {
-				continue // served by the owner's CtoC reply
-			}
-			d.stats.ServedFromCB++
-			m.AddSharer(p)
+		// home. (A MODIFIED entry naming that node is stale too, and
+		// is dropped all the same.)
+		for _, p := range waiters {
+			d.stats.RetriesSent++
 			gen = append(gen, &mesg.Message{
-				Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
-				Requester: p, Data: m.Data, Marked: true,
+				Kind: mesg.Retry, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
+				Requester: p, Marked: true,
 			})
 		}
-	} else {
-		d.stats.Invalidates++
+		return xbar.Action{Generated: gen}
 	}
-	d.release(e)
+	for _, p := range waiters {
+		if p == m.Requester {
+			continue // served by the owner's CtoC reply
+		}
+		d.stats.ServedFromCB++
+		m.AddSharer(p)
+		gen = append(gen, &mesg.Message{
+			Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
+			Requester: p, Data: m.Data, Marked: true,
+		})
+	}
 	return xbar.Action{Generated: gen}
 }
 
@@ -657,47 +572,38 @@ func (f *Fabric) writeBack(d *dir, m *mesg.Message) xbar.Action {
 	if m.ForWrite {
 		// Ownership-transfer ack: carries no data and is not a real
 		// replacement; invalidate any stale MODIFIED entry and pass.
-		if e := d.find(m.Addr); e != nil && e.state == Mod {
+		if st, _ := d.c.Probe(m.Addr); st == cache.Modified {
 			d.stats.Invalidates++
-			e.state = Inv
+			d.c.Invalidate(m.Addr)
 		}
-		return xbar.Action{}
-	}
-	e := d.find(m.Addr)
-	if e == nil {
 		return xbar.Action{}
 	}
 	var gen []*mesg.Message
-	if e.state == Trans {
-		for i, p := range d.waiters(e) {
-			d.stats.ServedFromWB++
-			if i == 0 {
-				m.Marked = true
-				m.Requester = p
-			} else {
-				m.AddSharer(p)
-			}
-			gen = append(gen, &mesg.Message{
-				Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
-				Requester: p, Data: m.Data, Marked: true,
-			})
+	for i, p := range d.release(m.Addr) {
+		d.stats.ServedFromWB++
+		if i == 0 {
+			m.Marked = true
+			m.Requester = p
+		} else {
+			m.AddSharer(p)
 		}
-	} else {
-		d.stats.Invalidates++
+		gen = append(gen, &mesg.Message{
+			Kind: mesg.ReadReply, Addr: m.Addr, Src: m.Src, Dst: mesg.P(p),
+			Requester: p, Data: m.Data, Marked: true,
+		})
 	}
-	d.release(e)
 	return xbar.Action{Generated: gen}
 }
 
 // retry re-routes a passing retry to all waiting bit-vector
 // requesters so none of them hangs.
 func (f *Fabric) retry(d *dir, m *mesg.Message) xbar.Action {
-	e := d.find(m.Addr)
-	if e == nil || e.state != Trans || f.cfg.Policy != PolicyBitVector {
+	st, data := d.c.Probe(m.Addr)
+	if st != cache.Transient || f.cfg.Policy != PolicyBitVector {
 		return xbar.Action{}
 	}
 	var gen []*mesg.Message
-	for _, p := range d.waiters(e) {
+	for _, p := range d.waiters(m.Addr, data) {
 		if p == m.Requester {
 			continue
 		}
@@ -713,24 +619,24 @@ func (f *Fabric) retry(d *dir, m *mesg.Message) xbar.Action {
 // roll-up.
 func (f *Fabric) TotalStats() Stats {
 	var s Stats
-	for _, d := range f.dirs {
-		s.add(&d.stats)
+	for i := range f.dirs {
+		s.add(&f.dirs[i].stats)
 	}
 	return s
 }
 
 // Lookup exposes a switch's entry state for tests and invariants.
 func (f *Fabric) Lookup(sw topo.SwitchID, addr uint64) (EntryState, int, mesg.NodeSet) {
-	d := f.dirs[f.tp.SwitchOrdinal(sw)]
-	e := d.find(addr)
-	if e == nil {
-		return Inv, 0, mesg.NodeSet{}
+	d := &f.dirs[f.tp.SwitchOrdinal(sw)]
+	switch st, data := d.c.Probe(addr); st {
+	case cache.Invalid, cache.Shared:
+		// Not present.
+	case cache.Modified:
+		return Mod, ownerOf(data), mesg.NodeSet{}
+	case cache.Transient:
+		return Trans, ownerOf(data), mesg.NodeSetOf(d.waiters(addr, data)...)
 	}
-	var vec mesg.NodeSet
-	if e.state == Trans {
-		vec = mesg.NodeSetOf(d.waiters(e)...)
-	}
-	return e.state, int(e.owner), vec
+	return Inv, 0, mesg.NodeSet{}
 }
 
 // DisableOrdinal flags the directory of the switch with ordinal i
@@ -743,12 +649,12 @@ func (f *Fabric) DisableOrdinal(i int) {
 		return
 	}
 	f.disabled[i] = true
-	slab := f.dirs[i].slab
-	for j := range slab {
-		if slab[j].state == Mod {
-			slab[j].state = Inv
+	c := &f.dirs[i].c
+	c.Lines(func(addr uint64, st cache.State, _ uint64) {
+		if st == cache.Modified {
+			c.Invalidate(addr)
 		}
-	}
+	})
 }
 
 // FailSwitch models whole-switch death (as opposed to DisableOrdinal's
@@ -769,19 +675,15 @@ func (f *Fabric) FailOrdinal(i int) {
 	}
 	f.failed[i] = true
 	f.disabled[i] = true
-	d := f.dirs[i]
-	for j := range d.slab {
-		e := &d.slab[j]
-		if e.state == Inv {
-			continue
-		}
+	d := &f.dirs[i]
+	d.c.Lines(func(addr uint64, st cache.State, data uint64) {
 		d.stats.EntriesLost++
-		if e.state == Trans {
+		if st == cache.Transient {
 			d.stats.PendingLost++
-			d.stats.HomeFallbacks += uint64(len(d.waiters(e)))
+			d.stats.HomeFallbacks += uint64(len(d.waiters(addr, data)))
 		}
-		e.state = Inv
-	}
+		d.c.Invalidate(addr)
+	})
 	d.extra = nil
 	d.pendingCount = 0
 }
@@ -816,24 +718,24 @@ func (f *Fabric) DisabledCount() int {
 }
 
 // modEntry walks the live MODIFIED entries across enabled switches in
-// deterministic (ordinal, set, way) order and returns the k-th, or nil
-// and their count when there are no more than k.
-func (f *Fabric) modEntry(k int) (*entry, int) {
-	n := 0
-	for i, d := range f.dirs {
+// deterministic (ordinal, set, way) order. It returns their count and,
+// when there are more than k, the k-th's array, block and data word.
+func (f *Fabric) modEntry(k int) (c *cache.Cache, addr, data uint64, n int) {
+	for i := range f.dirs {
 		if f.disabled[i] {
 			continue
 		}
-		for j := range d.slab {
-			if d.slab[j].state == Mod {
+		arr := &f.dirs[i].c
+		arr.Lines(func(b uint64, st cache.State, v uint64) {
+			if st == cache.Modified {
 				if n == k {
-					return &d.slab[j], n
+					c, addr, data = arr, b, v
 				}
 				n++
 			}
-		}
+		})
 	}
-	return nil, n
+	return c, addr, data, n
 }
 
 // CorruptRandom flips one pseudo-randomly chosen MODIFIED entry's
@@ -842,12 +744,12 @@ func (f *Fabric) modEntry(k int) (*entry, int) {
 // CtoC request at a non-owner, exercising the NoData-copyback
 // recovery path end to end. Reports whether an entry was corrupted.
 func (f *Fabric) CorruptRandom(rng *sim.RNG, nodes int) bool {
-	_, n := f.modEntry(-1)
+	_, _, _, n := f.modEntry(-1)
 	if n == 0 || nodes < 2 {
 		return false
 	}
-	e, _ := f.modEntry(rng.Intn(n))
-	e.owner = uint16((int(e.owner) + 1 + rng.Intn(nodes-1)) % nodes)
+	c, addr, data, _ := f.modEntry(rng.Intn(n))
+	c.SetData(addr, word((ownerOf(data)+1+rng.Intn(nodes-1))%nodes, 0))
 	return true
 }
 
@@ -856,12 +758,12 @@ func (f *Fabric) CorruptRandom(rng *sim.RNG, nodes int) bool {
 // next read falls through to the home. Reports whether an entry was
 // evicted.
 func (f *Fabric) EvictRandom(rng *sim.RNG) bool {
-	_, n := f.modEntry(-1)
+	_, _, _, n := f.modEntry(-1)
 	if n == 0 {
 		return false
 	}
-	e, _ := f.modEntry(rng.Intn(n))
-	e.state = Inv
+	c, addr, _, _ := f.modEntry(rng.Intn(n))
+	c.Invalidate(addr)
 	return true
 }
 

@@ -56,9 +56,6 @@ type Config struct {
 	// unlimited; individual tenants override via Tenants.
 	TenantRate  float64
 	TenantBurst int
-	// TenantQueueDepth bounds each tenant's sub-queue; <= 0 inherits
-	// QueueDepth.
-	TenantQueueDepth int
 	// Tenants pre-provisions per-tenant weights/rates; tenants not
 	// listed are created on first use with the defaults above.
 	Tenants map[string]TenantConfig
@@ -75,9 +72,6 @@ func (c *Config) fill() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.TenantQueueDepth <= 0 {
-		c.TenantQueueDepth = c.QueueDepth
 	}
 	if c.JournalSegmentBytes <= 0 {
 		c.JournalSegmentBytes = 4 << 20

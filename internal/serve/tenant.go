@@ -52,8 +52,8 @@ type TenantConfig struct {
 	// Burst is the token-bucket depth (0 inherits, <= 0 after
 	// inheritance means max(1, ceil(Rate))).
 	Burst int
-	// QueueDepth bounds this tenant's sub-queue (0 inherits the
-	// server-wide per-tenant depth).
+	// QueueDepth bounds this tenant's sub-queue (0 inherits
+	// Config.QueueDepth).
 	QueueDepth int
 }
 
@@ -151,7 +151,7 @@ func newTenantState(name string, tc TenantConfig, cfg Config) *tenantState {
 	}
 	depth := tc.QueueDepth
 	if depth <= 0 {
-		depth = cfg.TenantQueueDepth
+		depth = cfg.QueueDepth
 	}
 	return &tenantState{
 		name:   name,
